@@ -5,21 +5,19 @@ multi-worker counterparts with exact communication accounting, classical
 baselines, runtime checks of the underlying bounds, and a sweep harness.
 """
 
-from .distributed import (Aggregate, CommLedger, DistStepDetail, WorkerNode,
-                          dist_majority_vote_run, dist_signrvm_run,
-                          dist_signrvr_run, majority_vote,
-                          make_rosenbrock_workers, sign_average)
+from .distributed import (dist_signrvm_run, dist_signrvr_run,
+                          make_rosenbrock_workers)
 from .harness import (ALGORITHMS, Cell, ConfigError, ExperimentConfig,
                       apply_scale, build_config, grid_cells, main, preset,
                       run_cell, run_experiment, select_best, validate_config)
 from .metrics import (CSV_HEADER, ProcessedSeries, emit_csv, l1_norm, l2_norm,
                       log10_series, moving_average, process_series,
                       read_trace_csv)
-from .optimizers import (BASELINE_KINDS, BaselineState, Permutation,
-                         SignRRState, SignRVMState, SignRVRState, StepDetail,
-                         TraceRecord, baseline_epoch, bias_correct, shuffle,
-                         sign, signrr_epoch, signrvm_epoch, signrvr_epoch)
-from .problems import (FiniteSumProblem, LogisticProblem, RosenbrockSum,
+from .optimizers import (Aggregate, CommLedger, Method, Permutation,
+                         SignRVMState, SignRVRState, StepDetail, TraceRecord,
+                         bias_correct, majority_vote, run, shuffle, sign,
+                         sign_average, signrvm_epoch, signrvr_epoch)
+from .problems import (FiniteSumProblem, LogisticProblem, RosenbrockSum, Split,
                        estimate_coordinate_smoothness, finite_diff_check,
                        load_logistic_csv, make_rosenbrock)
 from .schedules import Constant, InverseSqrt, Schedule

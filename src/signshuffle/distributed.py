@@ -1,404 +1,57 @@
-"""In-process multi-worker simulator with byte-exact communication accounting.
+"""Multi-worker runs: one finite sum split across workers, in lockstep.
 
-Workers hold disjoint local finite sums and replicated copies of the
-iterate.  Every inner iteration each worker pushes a d-dimensional sign
-vector; the server combines them (coordinate mean for the anchored methods,
-ternary majority vote for the baselines) and every worker pulls the result
-and applies the same deterministic update, so the replicas stay bit-for-bit
-identical.  A ledger prices each round: sign payloads cost
-``bytes_per_sign`` per coordinate, the pulled mean costs
-``bytes_per_float`` per coordinate.
-
-The anchored runs mirror their single-machine counterparts exactly: with
-one worker the trajectory is bit-identical to the centralized method on the
-same problem and seed.
+Worker m holds block m of the rows.  Every inner iteration each worker
+pushes a d-dimensional sign vector; the server combines them (coordinate
+mean for the anchored methods by default, ternary majority vote for the
+baselines) and every worker applies the same update to the shared iterate.
+A ledger prices each round: sign payloads cost ``bytes_per_sign`` per
+coordinate, a pulled mean costs ``bytes_per_float`` per coordinate.  The
+rule is the update kernel of :mod:`signshuffle.optimizers`, so one worker
+reproduces the centralized method bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import metrics, streams
-from .optimizers import TraceRecord, shuffle, sign, _epoch_batches, _iterations
-from .problems import FiniteSumProblem, RosenbrockSum, make_rosenbrock, _rosen_parts
+from . import streams
+from .optimizers import Method, run
+from .problems import RosenbrockSum, Split, make_rosenbrock
 from .schedules import Schedule
-
-Array = np.ndarray
-
-MAJORITY_KINDS = ("signsgd_mv", "signum_mv")
-AGGREGATION_RULES = ("sign_average", "majority_vote")
-
-
-@dataclass
-class WorkerNode:
-    """One simulated machine: a local finite sum plus replicated state.
-
-    ``stream_tag`` selects the worker's permutation/sampling stream and
-    defaults to the worker id; overriding it lets several workers share one
-    stream on purpose.
-    """
-
-    worker_id: int
-    problem: FiniteSumProblem
-    stream_tag: int | None = None
-    x: Array | None = None
-    y: Array | None = None
-    anchor_grad: Array | None = None
-    momentum: Array | None = None
-
-    def tag(self) -> int:
-        return self.worker_id if self.stream_tag is None else self.stream_tag
-
-
-@dataclass(frozen=True)
-class Aggregate:
-    """Server-side combination of the workers' sign vectors."""
-
-    rule: str
-    payload: Array
-
-
-def sign_average(signs: Array) -> Aggregate:
-    """Coordinate mean of the rows; entries are exact multiples of 1/M in [-1, 1]."""
-    signs = np.asarray(signs, dtype=float)
-    if signs.ndim != 2 or signs.shape[0] < 1:
-        raise ValueError("signs must be a non-empty (workers, d) array")
-    return Aggregate("sign_average", signs.sum(axis=0) / signs.shape[0])
-
-
-def majority_vote(signs: Array) -> Aggregate:
-    """Ternary vote per coordinate: the sign of the column sum, 0 on ties."""
-    signs = np.asarray(signs, dtype=float)
-    if signs.ndim != 2 or signs.shape[0] < 1:
-        raise ValueError("signs must be a non-empty (workers, d) array")
-    return Aggregate("majority_vote", np.sign(signs.sum(axis=0)))
-
-
-@dataclass
-class CommLedger:
-    """Byte tallies for pushed sign vectors and pulled server responses."""
-
-    bytes_per_sign: int = 1
-    bytes_per_float: int = 64
-    bytes_up: int = 0
-    bytes_down: int = 0
-
-    def __post_init__(self):
-        if self.bytes_per_sign < 1 or self.bytes_per_float < 1:
-            raise ValueError("per-unit byte costs must be at least 1")
-
-    def total(self) -> int:
-        return self.bytes_up + self.bytes_down
-
-
-@dataclass(slots=True)
-class DistStepDetail:
-    """Per-iteration record of a distributed run.
-
-    ``worker_dev`` is the coordinate-wise worst deviation, over workers, of
-    the pushed estimate from that worker's own full local gradient; None
-    for the majority-vote baselines, which have no anchor to deviate from.
-    """
-
-    t: int
-    i: int
-    applied: bool
-    gamma: float
-    d_threshold: float
-    dist_inf: float
-    x: Array
-    worker_dev: Array | None
-
-
-class _WorkerEval:
-    """Evaluates per-worker gradients at a shared iterate.
-
-    When every worker holds a RosenbrockSum and batches are single
-    components, rows are filled from the shared curve geometry with each
-    worker's scale, which is arithmetically identical to calling the
-    per-worker methods and considerably cheaper.
-    """
-
-    def __init__(self, workers, enable_fast: bool):
-        self.workers = workers
-        self.fast = enable_fast and all(type(w.problem) is RosenbrockSum for w in workers)
-        if self.fast:
-            self.b_rows = [w.problem.b for w in workers]
-            self.b_means = np.array([w.problem._b_mean for w in workers])
-
-    def component_rows(self, picks, x: Array, out: Array) -> Array:
-        if self.fast:
-            chosen = np.array([self.b_rows[m][int(k)] for m, k in enumerate(picks)])
-            _, grad_gap, grad_base, _, _ = _rosen_parts(x)
-            np.multiply(chosen[:, None], grad_gap, out=out)
-            out += grad_base
-        else:
-            for m, w in enumerate(self.workers):
-                out[m] = w.problem.component_grad(int(picks[m]), x)
-        return out
-
-    def batch_rows(self, batches, x: Array, out: Array) -> Array:
-        for m, w in enumerate(self.workers):
-            out[m] = w.problem.batch_grad(batches[m], x)
-        return out
-
-    def full_rows(self, x: Array, out: Array) -> Array:
-        if self.fast:
-            _, grad_gap, grad_base, _, _ = _rosen_parts(x)
-            np.multiply(self.b_means[:, None], grad_gap, out=out)
-            out += grad_base
-        else:
-            for m, w in enumerate(self.workers):
-                out[m] = w.problem.full_grad(x)
-        return out
-
-    def values(self, x: Array) -> Array:
-        if self.fast:
-            _, _, _, gap_sq, base_sq = _rosen_parts(x)
-            return self.b_means * gap_sq + base_sq
-        return np.array([w.problem.value(x) for w in self.workers])
-
-
-def _check_workers(workers) -> tuple[int, int]:
-    if not workers:
-        raise ValueError("worker list is empty")
-    d = workers[0].problem.d
-    n0 = workers[0].problem.n
-    for w in workers[1:]:
-        if w.problem.d != d:
-            raise ValueError(f"mismatched worker dimensions: {w.problem.d} vs {d}")
-        if w.problem.n != n0:
-            raise ValueError(f"mismatched local component counts: {w.problem.n} vs {n0}")
-    return d, n0
-
-
-def _verify_replicas(workers, reference: Array, what: str) -> None:
-    for w in workers[1:]:
-        if not np.array_equal(w.x if what == "x" else w.y, reference):
-            raise RuntimeError(f"replica divergence: worker {w.worker_id} {what} differs")
 
 
 def make_rosenbrock_workers(num_workers: int, n0: int, d: int, u_max: float,
-                            seed: int):
-    """Workers with independent component scales drawn per worker id."""
+                            seed: int) -> Split:
+    """n0 components per worker, the scales of worker m drawn from its own stream."""
     if num_workers < 1:
         raise ValueError(f"num_workers must be at least 1, got {num_workers}")
-    return [WorkerNode(worker_id=m,
-                       problem=make_rosenbrock(n0, d, u_max,
-                                               streams.child_seed(seed, streams.PROBLEM, m)))
-            for m in range(num_workers)]
+    b = np.concatenate([
+        make_rosenbrock(n0, d, u_max, streams.child_seed(seed, streams.PROBLEM, m)).b
+        for m in range(num_workers)])
+    return RosenbrockSum(b, d, u_max, seed).split(num_workers)
 
 
-def _dist_anchored_run(workers, epochs: int, gamma: Schedule, dthr: Schedule, *,
-                       master_seed: int, x0, momentum_beta: float | None,
-                       carry_momentum: bool = False, aggregation: str = "sign_average",
-                       bytes_per_sign: int = 1, bytes_per_float: int = 64,
-                       batch_size: int = 1, telemetry_stride: int = 1, detail=None,
-                       verify_replicas: bool = True, fast_paths: bool = True):
-    d, n0 = _check_workers(workers)
-    if epochs < 1:
-        raise ValueError(f"epochs must be at least 1, got {epochs}")
-    if aggregation not in AGGREGATION_RULES:
-        raise ValueError(f"unknown aggregation {aggregation!r}")
-    if telemetry_stride < 1:
-        raise ValueError(f"telemetry_stride must be at least 1, got {telemetry_stride}")
-    if momentum_beta is not None and not 0 < momentum_beta < 1:
-        raise ValueError(f"beta must lie in (0, 1), got {momentum_beta}")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (d,):
-        raise ValueError(f"x0 must have shape ({d},), got {x0.shape}")
-    M = len(workers)
-    for w in workers:
-        w.x = x0.copy()
-        w.momentum = None
-    ev = _WorkerEval(workers, fast_paths and batch_size == 1)
-    ledger = CommLedger(bytes_per_sign=bytes_per_sign, bytes_per_float=bytes_per_float)
-    up_per_round = M * d * bytes_per_sign
-    down_per_round = M * d * (bytes_per_float if aggregation == "sign_average" else bytes_per_sign)
-    combine = sign_average if aggregation == "sign_average" else majority_vote
-    grads_x = np.empty((M, d))
-    grads_y = np.empty((M, d))
-    anchor = np.empty((M, d))
-    fulls = np.empty((M, d))
-    momentum = np.zeros((M, d)) if momentum_beta is not None else None
-    records = []
-    n_iter = _iterations(n0, batch_size)
-    for t in range(epochs):
-        orders = [shuffle(n0, t, master_seed, worker=w.tag()).order for w in workers]
-        if batch_size > 1:
-            orders = [_epoch_batches(o, batch_size) for o in orders]
-        for w in workers:
-            w.y = w.x
-        y_ref = workers[0].y
-        if verify_replicas:
-            _verify_replicas(workers, y_ref, "y")
-        ev.full_rows(y_ref, anchor)
-        for m, w in enumerate(workers):
-            w.anchor_grad = anchor[m]
-        if momentum is not None and not carry_momentum:
-            momentum[:] = 0.0
-        for i in range(n_iter):
-            lr = gamma.value_at(t, i, n_iter)
-            cap = dthr.value_at(t, i, n_iter)
-            x_ref = workers[0].x
-            if verify_replicas:
-                _verify_replicas(workers, x_ref, "x")
-            picks = [orders[m][i] for m in range(M)]
-            if batch_size == 1:
-                ev.component_rows(picks, x_ref, grads_x)
-                ev.component_rows(picks, y_ref, grads_y)
-            else:
-                ev.batch_rows(picks, x_ref, grads_x)
-                ev.batch_rows(picks, y_ref, grads_y)
-            estimates = (grads_x - grads_y) + anchor
-            if momentum is None:
-                pushed = sign(estimates)
-            else:
-                momentum *= momentum_beta
-                momentum += (1.0 - momentum_beta) * estimates
-                for m, w in enumerate(workers):
-                    w.momentum = momentum[m]
-                pushed = sign(momentum)
-            payload = combine(pushed).payload
-            ledger.bytes_up += up_per_round
-            ledger.bytes_down += down_per_round
-            dist = float(np.abs(x_ref - y_ref).max())
-            applied = dist <= cap
-            want_record = i % telemetry_stride == 0
-            if want_record or detail is not None:
-                f_global = float(ev.values(x_ref).mean())
-                ev.full_rows(x_ref, fulls)
-                grad_global = fulls.mean(axis=0)
-                l1 = metrics.l1_norm(grad_global)
-                l2 = metrics.l2_norm(grad_global)
-                if want_record:
-                    records.append(TraceRecord(t, i, f_global, l1, l2, applied, lr, cap))
-            if detail is not None:
-                dev = np.abs(estimates - fulls).max(axis=0)
-                detail.append(DistStepDetail(t, i, applied, lr, cap, dist, x_ref, dev))
-            if applied:
-                step = lr * payload
-                for w in workers:
-                    w.x = w.x - step
-    return workers[0].x.copy(), records, ledger
-
-
-def dist_signrvr_run(workers, epochs: int, gamma: Schedule, dthr: Schedule, *,
-                     master_seed: int, x0, aggregation: str = "sign_average",
-                     bytes_per_sign: int = 1, bytes_per_float: int = 64,
-                     batch_size: int = 1, telemetry_stride: int = 1, detail=None,
-                     verify_replicas: bool = True, fast_paths: bool = True):
+def dist_signrvr_run(workers: Split, epochs: int, gamma: Schedule, dthr: Schedule, *,
+                     master_seed: int, x0, aggregation: str = "sign_average", **kw):
     """Distributed anchored variance-reduced sign method.
 
-    Every worker walks its own permutation of its local components, pushes
-    the sign of its semi-stochastic estimate, pulls the coordinate mean,
-    and applies the shared update while the iterate stays inside the freeze
-    threshold.  Returns (final iterate, trace records, communication ledger).
+    Every worker walks its own permutation of its rows, pushes the sign of
+    its semi-stochastic estimate and applies the aggregate while the iterate
+    stays inside the freeze threshold.  Keyword arguments are those of
+    :func:`~signshuffle.optimizers.run`.  Returns (final iterate, trace
+    records, communication ledger).
     """
-    return _dist_anchored_run(workers, epochs, gamma, dthr, master_seed=master_seed,
-                              x0=x0, momentum_beta=None, aggregation=aggregation,
-                              bytes_per_sign=bytes_per_sign, bytes_per_float=bytes_per_float,
-                              batch_size=batch_size, telemetry_stride=telemetry_stride,
-                              detail=detail, verify_replicas=verify_replicas,
-                              fast_paths=fast_paths)
+    return run(workers, Method("shuffle", "anchored", "sign", aggregation), range(epochs),
+               gamma, dthr, seed=master_seed, x0=x0, **kw)
 
 
-def dist_signrvm_run(workers, epochs: int, gamma: Schedule, dthr: Schedule, *,
-                     beta: float, master_seed: int, x0, carry_momentum: bool = False,
-                     aggregation: str = "sign_average", bytes_per_sign: int = 1,
-                     bytes_per_float: int = 64, batch_size: int = 1,
-                     telemetry_stride: int = 1, detail=None,
-                     verify_replicas: bool = True, fast_paths: bool = True):
+def dist_signrvm_run(workers: Split, epochs: int, gamma: Schedule, dthr: Schedule, *,
+                     beta: float, master_seed: int, x0, aggregation: str = "sign_average",
+                     **kw):
     """Distributed anchored method with per-worker momentum of the estimates.
 
-    Each worker keeps a local momentum that advances on every iteration
-    (frozen ones included) and pushes its sign; aggregation and the freeze
-    rule match :func:`dist_signrvr_run`.
+    Each worker's momentum advances on every iteration, frozen ones
+    included, and restarts at every anchor; it pushes the momentum's sign.
     """
-    return _dist_anchored_run(workers, epochs, gamma, dthr, master_seed=master_seed,
-                              x0=x0, momentum_beta=beta, carry_momentum=carry_momentum,
-                              aggregation=aggregation, bytes_per_sign=bytes_per_sign,
-                              bytes_per_float=bytes_per_float, batch_size=batch_size,
-                              telemetry_stride=telemetry_stride, detail=detail,
-                              verify_replicas=verify_replicas, fast_paths=fast_paths)
-
-
-def dist_majority_vote_run(kind: str, workers, epochs: int, gamma: Schedule, *,
-                           master_seed: int, x0, beta: float = 0.9,
-                           bytes_per_sign: int = 1, bytes_per_float: int = 64,
-                           batch_size: int = 1, telemetry_stride: int = 1, detail=None,
-                           verify_replicas: bool = True, fast_paths: bool = True):
-    """Majority-vote baselines with with-replacement local sampling.
-
-    "signsgd_mv" pushes the sign of a local stochastic gradient,
-    "signum_mv" the sign of a local momentum of those gradients (the
-    momentum persists across epochs).  The server returns the ternary vote,
-    so both directions of a round carry sign-sized payloads.
-    """
-    if kind not in MAJORITY_KINDS:
-        raise ValueError(f"unknown majority-vote kind {kind!r}")
-    d, n0 = _check_workers(workers)
-    if epochs < 1:
-        raise ValueError(f"epochs must be at least 1, got {epochs}")
-    if telemetry_stride < 1:
-        raise ValueError(f"telemetry_stride must be at least 1, got {telemetry_stride}")
-    if kind == "signum_mv" and not 0 < beta < 1:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (d,):
-        raise ValueError(f"x0 must have shape ({d},), got {x0.shape}")
-    M = len(workers)
-    for w in workers:
-        w.x = x0.copy()
-        w.y = None
-        w.anchor_grad = None
-        w.momentum = None
-    ev = _WorkerEval(workers, fast_paths and batch_size == 1)
-    ledger = CommLedger(bytes_per_sign=bytes_per_sign, bytes_per_float=bytes_per_float)
-    per_round = M * d * bytes_per_sign
-    grads = np.empty((M, d))
-    fulls = np.empty((M, d))
-    momentum = np.zeros((M, d)) if kind == "signum_mv" else None
-    records = []
-    n_iter = _iterations(n0, batch_size)
-    for t in range(epochs):
-        draws = [streams.derive(master_seed, streams.SAMPLE, w.tag(), t).integers(
-            0, n0, size=(n_iter, batch_size)) for w in workers]
-        for i in range(n_iter):
-            lr = gamma.value_at(t, i, n_iter)
-            x_ref = workers[0].x
-            if verify_replicas:
-                _verify_replicas(workers, x_ref, "x")
-            if batch_size == 1:
-                picks = [draws[m][i][0] for m in range(M)]
-                ev.component_rows(picks, x_ref, grads)
-            else:
-                ev.batch_rows([draws[m][i] for m in range(M)], x_ref, grads)
-            if momentum is None:
-                pushed = sign(grads)
-            else:
-                momentum *= beta
-                momentum += (1.0 - beta) * grads
-                for m, w in enumerate(workers):
-                    w.momentum = momentum[m]
-                pushed = sign(momentum)
-            vote = majority_vote(pushed).payload
-            ledger.bytes_up += per_round
-            ledger.bytes_down += per_round
-            want_record = i % telemetry_stride == 0
-            if want_record or detail is not None:
-                f_global = float(ev.values(x_ref).mean())
-                ev.full_rows(x_ref, fulls)
-                grad_global = fulls.mean(axis=0)
-                l1 = metrics.l1_norm(grad_global)
-                l2 = metrics.l2_norm(grad_global)
-                if want_record:
-                    records.append(TraceRecord(t, i, f_global, l1, l2, True, lr, 0.0))
-            if detail is not None:
-                detail.append(DistStepDetail(t, i, True, lr, 0.0, 0.0, x_ref, None))
-            step = lr * vote
-            for w in workers:
-                w.x = w.x - step
-    return workers[0].x.copy(), records, ledger
+    method = Method("shuffle", "anchored", "momentum", aggregation, beta=beta)
+    return run(workers, method, range(epochs), gamma, dthr, seed=master_seed, x0=x0, **kw)

@@ -22,11 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, theory
-from .distributed import (WorkerNode, dist_majority_vote_run, dist_signrvm_run,
-                          dist_signrvr_run, make_rosenbrock_workers)
-from .optimizers import (BaselineState, SignRRState, SignRVMState, SignRVRState,
-                         baseline_epoch, signrr_epoch, signrvm_epoch, signrvr_epoch)
-from .problems import (LogisticProblem, estimate_coordinate_smoothness,
+from .distributed import make_rosenbrock_workers
+from .optimizers import Method, run
+from .problems import (LogisticProblem, Split, estimate_coordinate_smoothness,
                        load_logistic_csv, make_rosenbrock)
 from .schedules import Constant, InverseSqrt
 
@@ -45,35 +43,53 @@ DIST_ALGOS = ("signsgd_mv", "signum_mv", "dist_signrvr", "dist_signrvm")
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """Static facts the runner needs about one method.
+    """One method as a composition of the update kernel's parts.
 
-    ``momentum`` marks methods tuned over the beta grid; ``vr_check`` and
-    ``descent_check`` mark which lemma monitors apply to its trajectories.
-    The descent bound needs a ternary update direction, so it covers only
-    the centralized sign methods; distributed runs step along fractional
-    averages or pre-averaged votes.
+    See :mod:`signshuffle.optimizers` for the sampler, estimator, direction
+    and aggregator; ``aggregator`` None stands for the configured
+    ``aggregation`` rule.  Distributed methods aggregate across
+    ``workers``; momentum and Adam directions are tuned over the beta grid.
+    The vr-deviation monitor applies to anchored estimates; the descent
+    bound needs a ternary update direction, so it covers only the
+    centralized sign methods.
     """
 
     name: str
-    distributed: bool
-    momentum: bool
-    vr_check: bool
-    descent_check: bool
+    sampler: str
+    estimator: str
+    direction: str
+    aggregator: str | None = "identity"
+
+    @property
+    def distributed(self) -> bool:
+        return self.aggregator != "identity"
+
+    @property
+    def momentum(self) -> bool:
+        return self.direction in ("momentum", "adam")
+
+    @property
+    def vr_check(self) -> bool:
+        return self.estimator == "anchored"
+
+    @property
+    def descent_check(self) -> bool:
+        return not self.distributed and self.direction in ("sign", "momentum")
 
 
 ALGORITHMS = {spec.name: spec for spec in (
-    AlgorithmSpec("sgd", False, False, False, False),
-    AlgorithmSpec("rr", False, False, False, False),
-    AlgorithmSpec("signsgd", False, False, False, True),
-    AlgorithmSpec("signum", False, True, False, True),
-    AlgorithmSpec("adam", False, True, False, False),
-    AlgorithmSpec("signrr", False, False, False, True),
-    AlgorithmSpec("signrvr", False, False, True, True),
-    AlgorithmSpec("signrvm", False, True, True, True),
-    AlgorithmSpec("dist_signrvr", True, False, True, False),
-    AlgorithmSpec("dist_signrvm", True, True, True, False),
-    AlgorithmSpec("signsgd_mv", True, False, False, False),
-    AlgorithmSpec("signum_mv", True, True, False, False),
+    AlgorithmSpec("sgd", "draw", "component", "raw"),
+    AlgorithmSpec("rr", "shuffle", "component", "raw"),
+    AlgorithmSpec("signsgd", "draw", "component", "sign"),
+    AlgorithmSpec("signum", "draw", "component", "momentum"),
+    AlgorithmSpec("adam", "draw", "component", "adam"),
+    AlgorithmSpec("signrr", "shuffle", "component", "sign"),
+    AlgorithmSpec("signrvr", "shuffle", "anchored", "sign"),
+    AlgorithmSpec("signrvm", "shuffle", "anchored", "momentum"),
+    AlgorithmSpec("dist_signrvr", "shuffle", "anchored", "sign", None),
+    AlgorithmSpec("dist_signrvm", "shuffle", "anchored", "momentum", None),
+    AlgorithmSpec("signsgd_mv", "draw", "component", "sign", "majority_vote"),
+    AlgorithmSpec("signum_mv", "draw", "component", "momentum", "majority_vote"),
 )}
 
 # Momentum variants use the epoch-shifted adaptive schedules.
@@ -92,16 +108,16 @@ class ExperimentConfig:
     u_max: float = 10.0
     csv_path: str | None = None
     csv_has_header: bool = False
-    algorithms: tuple = CENTRAL_ALGOS
+    algorithms: tuple[str, ...] = CENTRAL_ALGOS
     epochs: int = 150
     gamma_kind: str = "constant"
     dthr_kind: str = "constant"
     shift: str = "auto"
-    lr_grid: tuple = DEFAULT_LR_GRID
-    beta_grid: tuple = DEFAULT_BETA_GRID
+    lr_grid: tuple[float, ...] = DEFAULT_LR_GRID
+    beta_grid: tuple[float, ...] = DEFAULT_BETA_GRID
     d0: float = 0.1
     batch_size: int = 1
-    seeds: tuple = (1, 2, 3, 4, 5)
+    seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
     workers: int = 1
     aggregation: str = "sign_average"
     bytes_per_sign: int = 1
@@ -110,7 +126,7 @@ class ExperimentConfig:
     smoothing_window: int = 10
     summary_metric: str = "grad_l1"
     smooth_after_log: bool = True
-    x0: float | tuple = 0.0
+    x0: float | tuple[float, ...] = 0.0
     problem_seed: int | None = None
     lemma_checks: bool = True
     smoothness_samples: int = 200
@@ -118,21 +134,8 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
 
-# Field kinds drive CLI flag parsing and config-file coercion.
-_FIELD_KINDS = {
-    "problem": "str", "n": "int", "d": "int", "u_max": "float",
-    "csv_path": "optstr", "csv_has_header": "bool",
-    "algorithms": "strs", "epochs": "int",
-    "gamma_kind": "str", "dthr_kind": "str", "shift": "str",
-    "lr_grid": "floats", "beta_grid": "floats", "d0": "float",
-    "batch_size": "int", "seeds": "ints", "workers": "int",
-    "aggregation": "str", "bytes_per_sign": "int", "bytes_per_float": "int",
-    "telemetry_stride": "int", "smoothing_window": "int",
-    "summary_metric": "str", "smooth_after_log": "bool",
-    "x0": "x0", "problem_seed": "optint",
-    "lemma_checks": "bool", "smoothness_samples": "int",
-    "jobs": "int", "out_dir": "str",
-}
+# Each field's annotation drives CLI flag parsing and config-file coercion.
+_FIELD_KINDS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 
 PRESET_NAMES = ("rosenbrock_central", "rosenbrock_dist",
                 "logistic_central", "logistic_dist")
@@ -250,10 +253,11 @@ def validate_config(config: ExperimentConfig) -> None:
 
 
 def _coerce(name: str, value):
+    """JSON lists become the tuples the annotations name."""
     kind = _FIELD_KINDS[name]
-    if kind in ("floats", "ints", "strs") and isinstance(value, list):
+    if kind.startswith("tuple") and isinstance(value, list):
         return tuple(value)
-    if kind == "x0" and isinstance(value, list):
+    if kind == "float | tuple[float, ...]" and isinstance(value, list):
         return tuple(float(v) for v in value)
     return value
 
@@ -359,27 +363,27 @@ def _load_logistic(config: ExperimentConfig) -> LogisticProblem:
     return _LOGISTIC_CACHE[key]
 
 
-def _build_problem(config: ExperimentConfig, seed: int):
-    if config.problem == "rosenbrock":
-        return make_rosenbrock(config.n, config.d, config.u_max,
-                               _problem_seed(config, seed))
-    return _load_logistic(config)
+def _check_partition(config: ExperimentConfig) -> None:
+    """Distributed logistic runs need the rows to split evenly across workers."""
+    if config.problem != "logistic" or not any(ALGORITHMS[a].distributed
+                                               for a in config.algorithms):
+        return
+    n = _load_logistic(config).n
+    if n % config.workers:
+        raise ConfigError(f"workers: {n} rows do not split evenly across "
+                          f"{config.workers} workers; the row count must be "
+                          f"divisible by the worker count")
 
 
-def _build_workers(config: ExperimentConfig, seed: int):
-    if config.problem == "rosenbrock":
+def _split(config: ExperimentConfig, spec: AlgorithmSpec, seed: int) -> Split:
+    """The cell's problem, split into one block per worker."""
+    if config.problem == "logistic":
+        return _load_logistic(config).split(config.workers if spec.distributed else 1)
+    problem_seed = _problem_seed(config, seed)
+    if spec.distributed:
         return make_rosenbrock_workers(config.workers, config.n, config.d,
-                                       config.u_max, _problem_seed(config, seed))
-    base = _load_logistic(config)
-    n0 = base.n // config.workers
-    if n0 < 1:
-        raise ConfigError(f"workers: {config.workers} workers need at least "
-                          f"{config.workers} samples, have {base.n}")
-    return [WorkerNode(worker_id=m,
-                       problem=LogisticProblem(base.features[m * n0:(m + 1) * n0],
-                                               base.labels[m * n0:(m + 1) * n0],
-                                               num_classes=base.num_classes))
-            for m in range(config.workers)]
+                                       config.u_max, problem_seed)
+    return make_rosenbrock(config.n, config.d, config.u_max, problem_seed).split()
 
 
 def _x0_vector(config: ExperimentConfig, d: int) -> np.ndarray:
@@ -391,61 +395,27 @@ def _x0_vector(config: ExperimentConfig, d: int) -> np.ndarray:
     return np.full(d, float(config.x0))
 
 
-def _run_central_cell(config: ExperimentConfig, cell: Cell, problem, detail=None):
-    shifted = _epoch_shift(config, cell.algo)
-    gamma = _schedule(config.gamma_kind, cell.lr, shifted)
-    dthr = _schedule(config.dthr_kind, config.d0, shifted)
-    x0 = _x0_vector(config, problem.d)
-    kw = dict(batch_size=config.batch_size,
-              telemetry_stride=config.telemetry_stride, detail=detail)
-    records = []
-    if cell.algo == "signrr":
-        state = SignRRState(x0, cell.seed)
-        for _ in range(config.epochs):
-            _, recs = signrr_epoch(state, problem, gamma, **kw)
-            records.extend(recs)
-    elif cell.algo == "signrvr":
-        state = SignRVRState(x0, cell.seed)
-        for _ in range(config.epochs):
-            _, recs = signrvr_epoch(state, problem, gamma, dthr, **kw)
-            records.extend(recs)
-    elif cell.algo == "signrvm":
-        state = SignRVMState(x0, cell.seed, beta=cell.beta)
-        for _ in range(config.epochs):
-            _, recs = signrvm_epoch(state, problem, gamma, dthr, **kw)
-            records.extend(recs)
-    else:
-        state = BaselineState(x0, cell.seed)
-        beta = 0.9 if cell.beta is None else cell.beta
-        for _ in range(config.epochs):
-            _, recs = baseline_epoch(cell.algo, state, problem, gamma=gamma,
-                                     beta=beta, **kw)
-            records.extend(recs)
-    return records, None
+def _run(config: ExperimentConfig, cell: Cell, detail=None):
+    """Run one cell through the update kernel: (trace records, ledger, split).
 
-
-def _run_dist_cell(config: ExperimentConfig, cell: Cell, workers, detail=None):
+    Divergence surfaces as FloatingPointError or OverflowError.
+    """
+    spec = ALGORITHMS[cell.algo]
     shifted = _epoch_shift(config, cell.algo)
-    gamma = _schedule(config.gamma_kind, cell.lr, shifted)
-    dthr = _schedule(config.dthr_kind, config.d0, shifted)
-    x0 = _x0_vector(config, workers[0].problem.d)
-    common = dict(master_seed=cell.seed, x0=x0,
-                  bytes_per_sign=config.bytes_per_sign,
-                  bytes_per_float=config.bytes_per_float,
-                  batch_size=config.batch_size,
-                  telemetry_stride=config.telemetry_stride, detail=detail)
-    if cell.algo == "dist_signrvr":
-        _, records, ledger = dist_signrvr_run(workers, config.epochs, gamma, dthr,
-                                              aggregation=config.aggregation, **common)
-    elif cell.algo == "dist_signrvm":
-        _, records, ledger = dist_signrvm_run(workers, config.epochs, gamma, dthr,
-                                              beta=cell.beta,
-                                              aggregation=config.aggregation, **common)
-    else:
-        beta = 0.9 if cell.beta is None else cell.beta
-        _, records, ledger = dist_majority_vote_run(cell.algo, workers, config.epochs,
-                                                    gamma, beta=beta, **common)
-    return records, ledger
+    method = Method(spec.sampler, spec.estimator, spec.direction,
+                    spec.aggregator or config.aggregation,
+                    beta=0.9 if cell.beta is None else cell.beta)
+    with np.errstate(all="ignore"):
+        split = _split(config, spec, cell.seed)
+        _, records, ledger = run(
+            split, method, range(config.epochs),
+            _schedule(config.gamma_kind, cell.lr, shifted),
+            _schedule(config.dthr_kind, config.d0, shifted),
+            seed=cell.seed, x0=_x0_vector(config, split.d),
+            batch_size=config.batch_size, telemetry_stride=config.telemetry_stride,
+            detail=detail, bytes_per_sign=config.bytes_per_sign,
+            bytes_per_float=config.bytes_per_float)
+    return records, ledger, split
 
 
 def _final_metric(config: ExperimentConfig, records) -> float:
@@ -466,29 +436,22 @@ def run_cell(config: ExperimentConfig, cell: Cell) -> dict:
 
     Divergence (overflow to NaN, metric leaving the positive range) is not
     an error: the cell reports an infinite final metric so grid selection
-    skips past it, and whatever trace prefix exists is still written.
+    skips past it.  A cell that diverges inside the kernel writes a
+    header-only trace and reports no traffic; a cell whose final metric
+    fails keeps its full trace.
     """
     row = {"algo": cell.algo, "seed": cell.seed, "lr": cell.lr, "beta": cell.beta,
            "csv": cell_filename(cell), "final": math.inf, "diverged": False,
            "error": "", "bytes_up": 0, "bytes_down": 0}
     records = []
-    ledger = None
     try:
-        with np.errstate(over="ignore", invalid="ignore", under="ignore",
-                         divide="ignore"):
-            if ALGORITHMS[cell.algo].distributed:
-                workers = _build_workers(config, cell.seed)
-                records, ledger = _run_dist_cell(config, cell, workers)
-            else:
-                problem = _build_problem(config, cell.seed)
-                records, ledger = _run_central_cell(config, cell, problem)
+        records, ledger, _ = _run(config, cell)
+        row["bytes_up"] = ledger.bytes_up
+        row["bytes_down"] = ledger.bytes_down
     except (FloatingPointError, OverflowError) as exc:
         row["diverged"] = True
         row["error"] = f"diverged: {exc}"
     metrics.emit_csv(records, Path(config.out_dir) / row["csv"])
-    if ledger is not None:
-        row["bytes_up"] = ledger.bytes_up
-        row["bytes_down"] = ledger.bytes_down
     if row["diverged"]:
         return row
     try:
@@ -521,16 +484,16 @@ def select_best(rows) -> dict:
     return best
 
 
-def _reports_for_detail(config: ExperimentConfig, cell: Cell, detail, problems):
+def _reports_for_detail(config: ExperimentConfig, cell: Cell, detail, split: Split):
     spec = ALGORITHMS[cell.algo]
     if not detail or not (spec.vr_check or spec.descent_check):
         return []
     pad = max(step.gamma for step in detail)
     region = theory.iterate_box(detail, pad)
     smooth = None
-    for idx, prob in enumerate(problems):
-        est = estimate_coordinate_smoothness(prob, region,
-                                             config.smoothness_samples, seed=idx)
+    for m in range(split.parts):
+        est = estimate_coordinate_smoothness(split.part(m), region,
+                                             config.smoothness_samples, seed=m)
         smooth = est if smooth is None else np.maximum(smooth, est)
     reports = []
     if spec.vr_check:
@@ -543,17 +506,8 @@ def _reports_for_detail(config: ExperimentConfig, cell: Cell, detail, problems):
 
 def _check_cell(config: ExperimentConfig, cell: Cell):
     detail = []
-    with np.errstate(over="ignore", invalid="ignore", under="ignore",
-                     divide="ignore"):
-        if ALGORITHMS[cell.algo].distributed:
-            workers = _build_workers(config, cell.seed)
-            _run_dist_cell(config, cell, workers, detail=detail)
-            problems = [w.problem for w in workers]
-        else:
-            problem = _build_problem(config, cell.seed)
-            _run_central_cell(config, cell, problem, detail=detail)
-            problems = [problem]
-    return _reports_for_detail(config, cell, detail, problems)
+    _, _, split = _run(config, cell, detail)
+    return _reports_for_detail(config, cell, detail, split)
 
 
 def _lemma_section(config: ExperimentConfig, rows):
@@ -583,6 +537,7 @@ def _lemma_section(config: ExperimentConfig, rows):
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run the sweep, write per-cell CSVs and summary.json, return the summary."""
     validate_config(config)
+    _check_partition(config)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = grid_cells(config)
@@ -624,6 +579,36 @@ def _csv_bytes(records) -> bytes:
         tmp.unlink(missing_ok=True)
 
 
+def _stored_cell(summary_path: Path, name: str):
+    """The config and cell behind a stored trace; ConfigError if the summary
+    is malformed or does not list the trace."""
+    try:
+        with open(summary_path, encoding="utf-8") as fh:
+            summary = json.load(fh)
+    except ValueError as exc:
+        raise ConfigError(f"{summary_path} is not valid JSON: {exc}") from exc
+    if not isinstance(summary, dict):
+        raise ConfigError(f"{summary_path} must hold an object")
+    for key, kind in (("config", dict), ("cells", list)):
+        if not isinstance(summary.get(key), kind):
+            raise ConfigError(f"{summary_path}: missing or malformed {key!r}")
+    config = config_from_dict(summary["config"])
+    validate_config(config)
+    _check_partition(config)
+    for k, row in enumerate(summary["cells"]):
+        missing = [key for key in ("csv", "algo", "seed", "lr", "beta")
+                   if not isinstance(row, dict) or key not in row]
+        if missing:
+            raise ConfigError(f"{summary_path}: cell {k} lacks {', '.join(missing)}")
+        if row["csv"] != name:
+            continue
+        if row["algo"] not in ALGORITHMS:
+            raise ConfigError(f"{summary_path}: cell {k} has unknown algo {row['algo']!r}")
+        return config, Cell(row["algo"], int(row["seed"]), float(row["lr"]),
+                            None if row["beta"] is None else float(row["beta"]))
+    raise ConfigError(f"{name} not listed in {summary_path}")
+
+
 def run_check(trace_path: str) -> int:
     """Rerun one stored trace deterministically and its theory checks."""
     path = Path(trace_path)
@@ -634,36 +619,16 @@ def run_check(trace_path: str) -> int:
     if not summary_path.is_file():
         print(f"config error: no summary.json next to {path}", file=sys.stderr)
         return 2
-    with open(summary_path, encoding="utf-8") as fh:
-        summary = json.load(fh)
     try:
-        config = config_from_dict(summary["config"])
-        validate_config(config)
+        config, cell = _stored_cell(summary_path, path.name)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    row = next((r for r in summary["cells"] if r["csv"] == path.name), None)
-    if row is None:
-        print(f"config error: {path.name} not listed in {summary_path}",
-              file=sys.stderr)
-        return 2
-    cell = Cell(row["algo"], int(row["seed"]), float(row["lr"]),
-                None if row["beta"] is None else float(row["beta"]))
     detail = []
     records = []
-    problems = []
     diverged = ""
     try:
-        with np.errstate(over="ignore", invalid="ignore", under="ignore",
-                         divide="ignore"):
-            if ALGORITHMS[cell.algo].distributed:
-                workers = _build_workers(config, cell.seed)
-                records, _ = _run_dist_cell(config, cell, workers, detail=detail)
-                problems = [w.problem for w in workers]
-            else:
-                problem = _build_problem(config, cell.seed)
-                records, _ = _run_central_cell(config, cell, problem, detail=detail)
-                problems = [problem]
+        records, _, split = _run(config, cell, detail)
     except (FloatingPointError, OverflowError) as exc:
         diverged = str(exc)
     if _csv_bytes(records) != path.read_bytes():
@@ -673,7 +638,7 @@ def run_check(trace_path: str) -> int:
     if diverged:
         print(f"trajectory diverged ({diverged}); no lemma checks to run")
         return 0
-    reports = _reports_for_detail(config, cell, detail, problems)
+    reports = _reports_for_detail(config, cell, detail, split)
     if not reports:
         print("no trajectory lemma checks apply to this method")
         return 0
@@ -682,36 +647,40 @@ def run_check(trace_path: str) -> int:
     return 3 if any(r.violations for r in reports) else 0
 
 
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _parse_x0(raw: str):
+    parts = [p for p in raw.split(",") if p]
+    if len(parts) == 1:
+        return float(parts[0])
+    return tuple(float(p) for p in parts)
+
+
+# How a flag's text becomes a value, keyed by the field's annotation.
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "str | None": lambda raw: None if raw.lower() == "none" else raw,
+    "int | None": lambda raw: None if raw.lower() == "none" else int(raw),
+    "tuple[str, ...]": lambda raw: tuple(p for p in raw.split(",") if p),
+    "tuple[float, ...]": lambda raw: tuple(float(p) for p in raw.split(",") if p),
+    "tuple[int, ...]": lambda raw: tuple(int(p) for p in raw.split(",") if p),
+    "float | tuple[float, ...]": _parse_x0,
+}
+
+
 def _parse_flag(name: str, raw: str):
-    kind = _FIELD_KINDS[name]
     try:
-        if kind == "str":
-            return raw
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            low = raw.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "floats":
-            return tuple(float(p) for p in raw.split(",") if p)
-        if kind == "ints":
-            return tuple(int(p) for p in raw.split(",") if p)
-        if kind == "strs":
-            return tuple(p for p in raw.split(",") if p)
-        if kind == "optstr":
-            return None if raw.lower() == "none" else raw
-        if kind == "optint":
-            return None if raw.lower() == "none" else int(raw)
-        parts = [p for p in raw.split(",") if p]
-        if len(parts) == 1:
-            return float(parts[0])
-        return tuple(float(p) for p in parts)
+        return _PARSERS[_FIELD_KINDS[name]](raw)
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
@@ -727,7 +696,7 @@ PRESET_LINES = (
 )
 
 
-def main(argv=None) -> int:
+def _cli() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="signshuffle",
         description="Sign-based finite-sum optimization sweeps")
@@ -737,16 +706,19 @@ def main(argv=None) -> int:
     run_p.add_argument("--preset", help="start from a named preset")
     run_p.add_argument("--scale", type=float,
                        help="shrink n and epochs by this factor")
-    run_p.add_argument("--out", help="output directory (same as --out-dir)")
+    run_p.add_argument("--out", dest="opt_out_dir", help="output directory")
     for name in _FIELD_KINDS:
-        if name == "out_dir":
-            continue
-        run_p.add_argument(f"--{name.replace('_', '-')}", dest=f"opt_{name}",
-                           metavar="V", help=argparse.SUPPRESS)
+        if name != "out_dir":
+            run_p.add_argument(f"--{name.replace('_', '-')}", dest=f"opt_{name}",
+                               metavar="V", help=argparse.SUPPRESS)
     check_p = sub.add_parser("check", help="rerun theory checks on a stored trace")
     check_p.add_argument("--trace", required=True, help="path to a trace CSV")
     sub.add_parser("presets", help="list preset names")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _cli().parse_args(argv)
     if args.command == "presets":
         for name, blurb in PRESET_LINES:
             print(f"{name:20s} {blurb}")
@@ -759,8 +731,6 @@ def main(argv=None) -> int:
             raw = getattr(args, f"opt_{name}", None)
             if raw is not None:
                 overrides[name] = _parse_flag(name, raw)
-        if args.out is not None:
-            overrides["out_dir"] = args.out
         config = build_config(args.preset, args.config, overrides, args.scale)
         summary = run_experiment(config)
     except ConfigError as exc:

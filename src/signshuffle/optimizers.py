@@ -1,35 +1,45 @@
-"""Epoch drivers for sign-based reshuffling methods and baselines.
+"""The update kernel behind every method, and its single-machine entry points.
 
-Each driver advances one epoch: it derives that epoch's component order (a
-fresh permutation for the reshuffling family, with-replacement draws for
-the classical baselines), walks the inner iterations, and returns the
-updated state plus one telemetry record per recorded iteration.
+Every method here is one rule applied by one kernel (:func:`run`) over the
+rows of a finite sum split into equal blocks, one block per worker; a
+centralized run is the split into one block.  A method is a composition of
 
-The anchored methods keep an epoch anchor y (the iterate at the start of
-the epoch) and a cached full gradient there.  Inner updates use the
-semi-stochastic estimate
+- a sampler: "shuffle" walks a fresh permutation of each block per epoch,
+  "draw" samples rows uniformly with replacement;
+- an estimator: "component" uses the sampled rows' gradient, "anchored"
+  the semi-stochastic estimate
 
-    v = grad_i(x) - grad_i(y) + full_grad(y)
+      v = grad_i(x) - grad_i(y) + full_grad(y)
 
-and are applied only while the iterate stays within a freeze threshold of
-the anchor in the sup norm; otherwise the iterate is left in place for that
-iteration (the estimate, and any momentum built from it, still advances).
+  with the epoch anchor y (the iterate at the start of the epoch);
+- a direction: "raw" takes v itself, "sign" its sign, "momentum" the sign of
+  m <- beta * m + (1 - beta) * v, "adam" the bias-corrected Adam step;
+- an aggregator: "identity" for one block (nothing is sent),
+  "sign_average" or "majority_vote" for the signs the workers push;
+- the freeze gate of the anchored estimator: the update is applied only
+  while ||x - y||_inf stays within the freeze threshold; the estimate, and
+  any momentum built from it, still advances on a frozen iteration.
+
+Momentum of anchored estimates restarts at every anchor; the momentum and
+Adam state of the other methods persist across epochs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics, streams
-from .problems import FiniteSumProblem
+from .problems import FiniteSumProblem, Split
 from .schedules import Schedule
 
 Array = np.ndarray
 
-BASELINE_KINDS = ("sgd", "rr", "signsgd", "signum", "adam")
+SAMPLERS = ("shuffle", "draw")
+ESTIMATORS = ("component", "anchored")
+DIRECTIONS = ("raw", "sign", "momentum", "adam")
+AGGREGATORS = ("identity", "sign_average", "majority_vote")
 
 
 def sign(v) -> Array:
@@ -75,6 +85,74 @@ def bias_correct(momentum: Array, beta: float, i: int) -> Array:
     return momentum / (1.0 - beta ** (i + 1))
 
 
+@dataclass(frozen=True)
+class Aggregate:
+    """Server-side combination of the workers' sign vectors."""
+
+    rule: str
+    payload: Array
+
+
+def sign_average(signs: Array) -> Aggregate:
+    """Coordinate mean of the rows; entries are exact multiples of 1/M in [-1, 1]."""
+    signs = np.asarray(signs, dtype=float)
+    if signs.ndim != 2 or signs.shape[0] < 1:
+        raise ValueError("signs must be a non-empty (workers, d) array")
+    return Aggregate("sign_average", signs.sum(axis=0) / signs.shape[0])
+
+
+def majority_vote(signs: Array) -> Aggregate:
+    """Ternary vote per coordinate: the sign of the column sum, 0 on ties."""
+    signs = np.asarray(signs, dtype=float)
+    if signs.ndim != 2 or signs.shape[0] < 1:
+        raise ValueError("signs must be a non-empty (workers, d) array")
+    return Aggregate("majority_vote", np.sign(signs.sum(axis=0)))
+
+
+@dataclass
+class CommLedger:
+    """Byte tallies for pushed sign vectors and pulled server responses.
+
+    Sign payloads cost ``bytes_per_sign`` per coordinate, a pulled average
+    costs ``bytes_per_float`` per coordinate.
+    """
+
+    bytes_per_sign: int = 1
+    bytes_per_float: int = 64
+    bytes_up: int = 0
+    bytes_down: int = 0
+
+    def __post_init__(self):
+        if self.bytes_per_sign < 1 or self.bytes_per_float < 1:
+            raise ValueError("per-unit byte costs must be at least 1")
+
+    def total(self) -> int:
+        return self.bytes_up + self.bytes_down
+
+
+@dataclass(frozen=True)
+class Method:
+    """One update rule as a composition; see the module docstring."""
+
+    sampler: str
+    estimator: str
+    direction: str
+    aggregator: str = "identity"
+    beta: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+
+    def __post_init__(self):
+        for value, known in ((self.sampler, SAMPLERS), (self.estimator, ESTIMATORS),
+                             (self.direction, DIRECTIONS), (self.aggregator, AGGREGATORS)):
+            if value not in known:
+                raise ValueError(f"unknown method part {value!r}; known: {', '.join(known)}")
+        if self.aggregator != "identity" and self.direction not in ("sign", "momentum"):
+            raise ValueError(f"{self.aggregator} combines signs; {self.direction!r} pushes none")
+        if self.direction in ("momentum", "adam") and not 0 < self.beta < 1:
+            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+
+
 @dataclass(slots=True)
 class TraceRecord:
     """Telemetry for one inner iteration, taken before the update."""
@@ -93,10 +171,14 @@ class TraceRecord:
 class StepDetail:
     """Full per-iteration state for trajectory checks and replays.
 
-    ``stoch_grad`` is the estimate feeding the update (a component gradient
-    for plain reshuffling, the semi-stochastic estimate for the anchored
-    methods); ``direction`` is the sign vector actually applied, zeros on a
-    frozen iteration, and None for magnitude-step baselines.
+    ``stoch_grad`` is the estimate each worker formed and ``momentum`` its
+    first moment, one row per worker (1-D when the run has one block);
+    ``grad_before`` and ``f_before`` are the full gradient and objective
+    at ``x``, ``f_after`` the objective after the step.  ``direction`` is
+    the aggregated sign payload actually applied, zeros on a frozen
+    iteration, and None for magnitude steps.  ``worker_dev`` is the
+    coordinate-wise worst deviation, over workers, of the anchored estimate
+    from that worker's full block gradient; None for other estimators.
     """
 
     t: int
@@ -113,26 +195,159 @@ class StepDetail:
     momentum: Array | None
     x: Array
     y: Array | None
+    worker_dev: Array | None = None
 
 
-@dataclass
-class SignRRState:
-    x: Array
-    seed: int
-    t: int = 0
+def _epoch_rows(sampler: str, split: Split, t: int, seed: int, batch_size: int,
+                n_iter: int):
+    """Global row indices of epoch t: entry i names one row per block
+    (batch 1) or one batch per block (a (parts, batch) array)."""
+    n0 = split.n0
+    if sampler == "shuffle":
+        order = np.stack([shuffle(n0, t, seed, worker=m).order for m in range(split.parts)])
+    else:
+        order = np.stack([streams.derive(seed, streams.SAMPLE, m, t).integers(
+            0, n0, size=(n_iter, batch_size)).ravel() for m in range(split.parts)])
+    order += n0 * np.arange(split.parts)[:, None]
+    if batch_size == 1:
+        return order.T
+    return [order[:, k:k + batch_size] for k in range(0, order.shape[1], batch_size)]
 
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
+
+def _mean(rows):
+    """Mean over workers; one worker's row is its own mean, exactly."""
+    return rows[0] if len(rows) == 1 else np.mean(rows, axis=0)
+
+
+def _probe(split: Split, point):
+    """Objective, full gradient and its norms at a point, averaged over blocks,
+    plus each block's full gradient."""
+    fulls = split.grads(point)
+    g = _mean(fulls)
+    return float(_mean(split.values(point))), g, metrics.l1_norm(g), metrics.l2_norm(g), fulls
+
+
+def run(split: Split, method: Method, epochs: range, gamma: Schedule,
+        dthr: Schedule | None = None, *, seed: int, x0, batch_size: int = 1,
+        telemetry_stride: int = 1, detail=None, bytes_per_sign: int = 1,
+        bytes_per_float: int = 64):
+    """Apply ``method`` from x0 over the given epochs of ``split``.
+
+    Every inner iteration samples rows for each block, forms each worker's
+    estimate and direction, aggregates them and steps the shared iterate by
+    lr * payload.  Telemetry is taken before the update every
+    ``telemetry_stride`` iterations (every iteration when ``detail`` is a
+    list to append :class:`StepDetail` rows to).  ``dthr`` is the freeze
+    threshold of the anchored estimator.
+
+    Returns (final iterate, trace records, communication ledger).
+    """
+    M, d = split.parts, split.d
+    direction = method.direction
+    anchored = method.estimator == "anchored"
+    if len(epochs) < 1:
+        raise ValueError("epochs must name at least one epoch")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    if telemetry_stride < 1:
+        raise ValueError(f"telemetry_stride must be at least 1, got {telemetry_stride}")
+    if method.aggregator == "identity" and M != 1:
+        raise ValueError(f"the identity aggregator needs one block, got {M}")
+    if anchored and dthr is None:
+        raise ValueError("the anchored estimator needs a freeze threshold schedule")
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (d,):
+        raise ValueError(f"x0 must have shape ({d},), got {x.shape}")
+    ledger = CommLedger(bytes_per_sign=bytes_per_sign, bytes_per_float=bytes_per_float)
+    aggregate = {"identity": None, "sign_average": sign_average,
+                 "majority_vote": majority_vote}[method.aggregator]
+    beta, beta2 = method.beta, method.beta2
+    mom = np.zeros((M, d)) if direction in ("momentum", "adam") else None
+    second = np.zeros((M, d)) if direction == "adam" else None
+    steps = 0
+    y = py = None
+    cap = dist = 0.0
+    applied = True
+    last = None
+    own = 0 if M == 1 else slice(None)  # detail keeps 1-D rows for one worker
+    n_iter = -(-split.n0 // batch_size)
+    grads, at = split.grads, split.at
+    px = at(x)
+    records = []
+    for t in epochs:
+        batches = _epoch_rows(method.sampler, split, t, seed, batch_size, n_iter)
+        if anchored:
+            y, py = x, px
+            anchor = grads(py)
+            if mom is not None:
+                mom = np.zeros((M, d))
+        for i in range(n_iter):
+            lr = gamma.value_at(t, i, n_iter)
+            rows = batches[i]
+            if anchored:
+                cap = dthr.value_at(t, i, n_iter)
+                v = (grads(px, rows) - grads(py, rows)) + anchor
+            else:
+                v = grads(px, rows)
+            if direction == "sign":
+                push = sign(v)
+            elif direction == "raw":
+                push = v
+            else:
+                mom = beta * mom + (1.0 - beta) * v
+                if direction == "momentum":
+                    push = sign(mom)
+                else:
+                    second = beta2 * second + (1.0 - beta2) * v * v
+                    steps += 1
+                    m_hat = mom[0] / (1.0 - beta ** steps)
+                    v_hat = second[0] / (1.0 - beta2 ** steps)
+                    push = None
+            if aggregate is not None:
+                payload = aggregate(push).payload
+            elif push is not None:
+                payload = push[0]
+            if anchored:
+                dist = float(np.abs(x - y).max())
+                applied = dist <= cap
+            want_record = i % telemetry_stride == 0
+            if want_record or detail is not None:
+                f, g, l1, l2, fulls = _probe(split, px)
+                if want_record:
+                    records.append(TraceRecord(t, i, f, l1, l2, applied, lr, cap))
+                if last is not None:
+                    last.f_after = f
+            if detail is not None:
+                applied_dir = None
+                if direction in ("sign", "momentum"):
+                    applied_dir = payload if applied else np.zeros_like(x)
+                last = StepDetail(t, i, applied, lr, cap, dist, f, np.nan, g, v[own],
+                                  applied_dir, None if mom is None else mom[own], x, y,
+                                  np.abs(v - fulls).max(axis=0) if anchored else None)
+                detail.append(last)
+            if applied:
+                if push is None:
+                    x = x - lr * m_hat / (np.sqrt(v_hat) + method.eps)
+                else:
+                    x = x - lr * payload
+                px = at(x)
+    if last is not None:
+        last.f_after = float(_mean(split.values(px)))
+    if aggregate is not None:
+        rounds = len(epochs) * n_iter
+        ledger.bytes_up = rounds * M * d * bytes_per_sign
+        ledger.bytes_down = rounds * M * d * (bytes_per_float if aggregate is sign_average
+                                              else bytes_per_sign)
+    return x, records, ledger
 
 
 @dataclass
 class SignRVRState:
+    """Iterate, stream seed and next epoch of a single-machine anchored run."""
+
     x: Array
     seed: int
     t: int = 0
-    i: int = 0
-    y: Array | None = None
-    anchor_grad: Array | None = None
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -141,7 +356,6 @@ class SignRVRState:
 @dataclass
 class SignRVMState(SignRVRState):
     beta: float = 0.9
-    momentum: Array | None = None
 
     def __post_init__(self):
         super().__post_init__()
@@ -149,259 +363,25 @@ class SignRVMState(SignRVRState):
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
 
 
-@dataclass
-class BaselineState:
-    x: Array
-    seed: int
-    t: int = 0
-    steps: int = 0
-    m: Array | None = None
-    v: Array | None = None
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-
-
-def _check_state(state, problem: FiniteSumProblem) -> None:
-    if state.x.shape != (problem.d,):
-        raise ValueError(f"state dimension {state.x.shape} does not match problem ({problem.d},)")
-
-
-def _iterations(n: int, batch_size: int) -> int:
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
-    return -(-n // batch_size)
-
-
-def _epoch_batches(perm_order: Array, batch_size: int):
-    if batch_size == 1:
-        return perm_order
-    return [perm_order[k:k + batch_size] for k in range(0, perm_order.size, batch_size)]
-
-
-def _probe(problem: FiniteSumProblem, x: Array):
-    g = problem.full_grad(x)
-    return problem.value(x), g, metrics.l1_norm(g), metrics.l2_norm(g)
-
-
-def signrr_epoch(state: SignRRState, problem: FiniteSumProblem, gamma: Schedule, *,
-                 batch_size: int = 1, telemetry_stride: int = 1, detail=None):
-    """One reshuffled epoch of plain sign steps: x <- x - gamma * sign(grad_i(x))."""
-    _check_state(state, problem)
-    if telemetry_stride < 1:
-        raise ValueError(f"telemetry_stride must be at least 1, got {telemetry_stride}")
-    t = state.t
-    perm = shuffle(problem.n, t, state.seed)
-    n_iter = _iterations(problem.n, batch_size)
-    batches = _epoch_batches(perm.order, batch_size)
-    x = state.x
-    records = []
-    for i in range(n_iter):
-        lr = gamma.value_at(t, i, n_iter)
-        if batch_size == 1:
-            g = problem.component_grad(int(batches[i]), x)
-        else:
-            g = problem.batch_grad(batches[i], x)
-        direction = sign(g)
-        want_record = i % telemetry_stride == 0
-        if want_record or detail is not None:
-            fx, grad_full, l1, l2 = _probe(problem, x)
-            if want_record:
-                records.append(TraceRecord(t, i, fx, l1, l2, True, lr, 0.0))
-        x_next = x - lr * direction
-        if detail is not None:
-            detail.append(StepDetail(t, i, True, lr, 0.0, 0.0, fx, problem.value(x_next),
-                                     grad_full, g, direction, None, x, None))
-        x = x_next
-    state.x = x
-    state.t = t + 1
+def _epoch(state, problem: FiniteSumProblem, method: Method, gamma: Schedule,
+           dthr: Schedule, **kw):
+    state.x, records, _ = run(problem.split(), method, range(state.t, state.t + 1),
+                              gamma, dthr, seed=state.seed, x0=state.x, **kw)
+    state.t += 1
     return state, records
-
-
-def _semi_stochastic(problem, batch, batch_size, x, y, anchor_grad):
-    if batch_size == 1:
-        k = int(batch)
-        return (problem.component_grad(k, x) - problem.component_grad(k, y)) + anchor_grad
-    return (problem.batch_grad(batch, x) - problem.batch_grad(batch, y)) + anchor_grad
 
 
 def signrvr_epoch(state: SignRVRState, problem: FiniteSumProblem, gamma: Schedule,
-                  dthr: Schedule, *, batch_size: int = 1, telemetry_stride: int = 1,
-                  detail=None):
-    """One anchored variance-reduced epoch of sign steps.
+                  dthr: Schedule, **kw):
+    """One anchored variance-reduced epoch of sign steps on a single machine.
 
-    The epoch anchor is the incoming iterate; its full gradient is computed
-    once.  Each inner iteration forms the semi-stochastic estimate and
-    applies a sign step only while ||x - y||_inf stays within the freeze
-    threshold.
+    Keyword arguments are those of :func:`run`; returns (state, records).
     """
-    _check_state(state, problem)
-    if telemetry_stride < 1:
-        raise ValueError(f"telemetry_stride must be at least 1, got {telemetry_stride}")
-    t = state.t
-    perm = shuffle(problem.n, t, state.seed)
-    n_iter = _iterations(problem.n, batch_size)
-    batches = _epoch_batches(perm.order, batch_size)
-    y = state.x
-    anchor_grad = problem.full_grad(y)
-    state.y = y
-    state.anchor_grad = anchor_grad
-    x = y
-    records = []
-    for i in range(n_iter):
-        lr = gamma.value_at(t, i, n_iter)
-        cap = dthr.value_at(t, i, n_iter)
-        v = _semi_stochastic(problem, batches[i], batch_size, x, y, anchor_grad)
-        dist = float(np.abs(x - y).max())
-        applied = dist <= cap
-        if applied:
-            direction = sign(v)
-            x_next = x - lr * direction
-        else:
-            direction = np.zeros_like(x)
-            x_next = x
-        want_record = i % telemetry_stride == 0
-        if want_record or detail is not None:
-            fx, grad_full, l1, l2 = _probe(problem, x)
-            if want_record:
-                records.append(TraceRecord(t, i, fx, l1, l2, applied, lr, cap))
-        if detail is not None:
-            detail.append(StepDetail(t, i, applied, lr, cap, dist, fx, problem.value(x_next),
-                                     grad_full, v, direction, None, x, y))
-        x = x_next
-        state.i = i
-    state.x = x
-    state.t = t + 1
-    return state, records
+    return _epoch(state, problem, Method("shuffle", "anchored", "sign"), gamma, dthr, **kw)
 
 
 def signrvm_epoch(state: SignRVMState, problem: FiniteSumProblem, gamma: Schedule,
-                  dthr: Schedule, *, carry_momentum: bool = False, batch_size: int = 1,
-                  telemetry_stride: int = 1, detail=None):
-    """Anchored epoch whose sign steps follow a momentum of the estimates.
-
-    The momentum recurrence runs on every inner iteration, frozen ones
-    included; only the iterate update is gated by the freeze threshold.
-    Momentum restarts from zero each epoch unless ``carry_momentum`` is set.
-    """
-    _check_state(state, problem)
-    if telemetry_stride < 1:
-        raise ValueError(f"telemetry_stride must be at least 1, got {telemetry_stride}")
-    t = state.t
-    beta = state.beta
-    perm = shuffle(problem.n, t, state.seed)
-    n_iter = _iterations(problem.n, batch_size)
-    batches = _epoch_batches(perm.order, batch_size)
-    y = state.x
-    anchor_grad = problem.full_grad(y)
-    state.y = y
-    state.anchor_grad = anchor_grad
-    if not carry_momentum or state.momentum is None:
-        mom = np.zeros_like(state.x)
-    else:
-        mom = state.momentum
-    x = y
-    records = []
-    for i in range(n_iter):
-        lr = gamma.value_at(t, i, n_iter)
-        cap = dthr.value_at(t, i, n_iter)
-        v = _semi_stochastic(problem, batches[i], batch_size, x, y, anchor_grad)
-        mom = beta * mom + (1.0 - beta) * v
-        dist = float(np.abs(x - y).max())
-        applied = dist <= cap
-        if applied:
-            direction = sign(mom)
-            x_next = x - lr * direction
-        else:
-            direction = np.zeros_like(x)
-            x_next = x
-        want_record = i % telemetry_stride == 0
-        if want_record or detail is not None:
-            fx, grad_full, l1, l2 = _probe(problem, x)
-            if want_record:
-                records.append(TraceRecord(t, i, fx, l1, l2, applied, lr, cap))
-        if detail is not None:
-            detail.append(StepDetail(t, i, applied, lr, cap, dist, fx, problem.value(x_next),
-                                     grad_full, v, direction, mom, x, y))
-        x = x_next
-        state.i = i
-    state.x = x
-    state.t = t + 1
-    state.momentum = mom
-    return state, records
-
-
-def baseline_epoch(kind: str, state: BaselineState, problem: FiniteSumProblem, *,
-                   gamma: Schedule, batch_size: int = 1, beta: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8,
-                   telemetry_stride: int = 1, detail=None):
-    """One epoch of a classical baseline.
-
-    Kinds: "sgd" and "signsgd" sample components uniformly with replacement;
-    "rr" reshuffles like the sign methods but takes magnitude steps;
-    "signum" is sign of a momentum of with-replacement gradients; "adam"
-    uses the standard first/second moment recursion with bias correction
-    (``beta`` doubles as its first-moment rate).
-    """
-    if kind not in BASELINE_KINDS:
-        raise ValueError(f"unknown baseline kind {kind!r}")
-    _check_state(state, problem)
-    if telemetry_stride < 1:
-        raise ValueError(f"telemetry_stride must be at least 1, got {telemetry_stride}")
-    if kind in ("signum", "adam") and not 0 < beta < 1:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    t = state.t
-    n_iter = _iterations(problem.n, batch_size)
-    if kind == "rr":
-        batches = _epoch_batches(shuffle(problem.n, t, state.seed).order, batch_size)
-    else:
-        draws = streams.derive(state.seed, streams.SAMPLE, 0, t).integers(
-            0, problem.n, size=(n_iter, batch_size))
-    x = state.x
-    records = []
-    for i in range(n_iter):
-        lr = gamma.value_at(t, i, n_iter)
-        if kind == "rr":
-            batch = batches[i]
-            g = problem.component_grad(int(batch), x) if batch_size == 1 \
-                else problem.batch_grad(batch, x)
-        else:
-            batch = draws[i]
-            g = problem.component_grad(int(batch[0]), x) if batch_size == 1 \
-                else problem.batch_grad(batch, x)
-        direction = None
-        if kind in ("sgd", "rr"):
-            step = lr * g
-        elif kind == "signsgd":
-            direction = sign(g)
-            step = lr * direction
-        elif kind == "signum":
-            if state.m is None:
-                state.m = np.zeros_like(x)
-            state.m = beta * state.m + (1.0 - beta) * g
-            direction = sign(state.m)
-            step = lr * direction
-        else:  # adam
-            if state.m is None:
-                state.m = np.zeros_like(x)
-                state.v = np.zeros_like(x)
-            state.m = beta * state.m + (1.0 - beta) * g
-            state.v = beta2 * state.v + (1.0 - beta2) * g * g
-            state.steps += 1
-            m_hat = state.m / (1.0 - beta ** state.steps)
-            v_hat = state.v / (1.0 - beta2 ** state.steps)
-            step = lr * m_hat / (np.sqrt(v_hat) + eps)
-        want_record = i % telemetry_stride == 0
-        if want_record or detail is not None:
-            fx, grad_full, l1, l2 = _probe(problem, x)
-            if want_record:
-                records.append(TraceRecord(t, i, fx, l1, l2, True, lr, 0.0))
-        x_next = x - step
-        if detail is not None:
-            detail.append(StepDetail(t, i, True, lr, 0.0, 0.0, fx, problem.value(x_next),
-                                     grad_full, g, direction,
-                                     None if state.m is None else state.m, x, None))
-        x = x_next
-    state.x = x
-    state.t = t + 1
-    return state, records
+                  dthr: Schedule, **kw):
+    """One anchored epoch whose sign steps follow a momentum of the estimates."""
+    method = Method("shuffle", "anchored", "momentum", beta=state.beta)
+    return _epoch(state, problem, method, gamma, dthr, **kw)

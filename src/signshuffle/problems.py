@@ -1,18 +1,15 @@
 """Finite-sum objectives with exact per-component gradients.
 
-All objectives have the form f(x) = (1/n) * sum_i f_i(x).  Optimizers only
-ever touch components through ``component_value`` / ``component_grad`` plus
-the aggregate ``value`` / ``full_grad``, so new problems slot in by
-subclassing :class:`FiniteSumProblem`.
-
-Iterates passed in are treated as immutable; implementations may cache
-derived quantities keyed on array identity.
+All objectives have the form f(x) = (1/n) * sum_i f_i(x).  Besides the
+per-component ``component_value`` / ``component_grad`` and the aggregate
+``value`` / ``full_grad``, every problem can ``split`` its rows into equal
+blocks, one per worker; the resulting :class:`Split` is the only view of a
+problem that the update kernel uses.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import OrderedDict
 
 import numpy as np
 
@@ -45,16 +42,13 @@ class FiniteSumProblem:
         g /= self.n
         return g
 
-    def batch_grad(self, indices, x: Array) -> Array:
-        """Mean gradient over a batch of component indices."""
-        indices = np.asarray(indices)
-        if indices.size == 0:
-            raise ValueError("batch_grad: empty index batch")
-        g = self.component_grad(int(indices[0]), x).copy()
-        for k in indices[1:]:
-            g += self.component_grad(int(k), x)
-        g /= indices.size
-        return g
+    def rows(self, lo: int, hi: int) -> "FiniteSumProblem":
+        """The finite sum over rows [lo, hi) alone, with local row indices."""
+        raise NotImplementedError
+
+    def split(self, parts: int = 1) -> "Split":
+        """Row-batch oracle over ``parts`` equal blocks of consecutive rows."""
+        raise NotImplementedError
 
     def _check_index(self, i: int) -> None:
         if not 0 <= i < self.n:
@@ -65,31 +59,57 @@ class FiniteSumProblem:
             raise ValueError(f"expected point of shape ({self.d},), got {x.shape}")
 
 
-# Shared geometry of the chained-bowl objective depends on the iterate only,
-# not the per-component scale, so one cache serves every instance.  Entries
-# hold a strong reference to the keyed array, which pins its id.
-_PARTS_CACHE: "OrderedDict[int, tuple]" = OrderedDict()
-_PARTS_CACHE_MAX = 8
+class Split:
+    """A finite sum cut into equal blocks of consecutive rows, one per worker.
+
+    Block m holds rows [m * n0, (m + 1) * n0); a centralized run is the split
+    into one block.  ``at`` evaluates what every row shares at an iterate,
+    once per point; ``grads`` and ``values`` then read gradients and block
+    objectives off that evaluation.
+    """
+
+    def __init__(self, problem: FiniteSumProblem, parts: int):
+        if parts < 1:
+            raise ValueError(f"parts must be at least 1, got {parts}")
+        if problem.n % parts:
+            raise ValueError(f"{problem.n} rows do not split evenly into {parts} parts")
+        self.problem = problem
+        self.parts = parts
+        self.n0 = problem.n // parts
+        self.d = problem.d
+
+    def part(self, m: int) -> FiniteSumProblem:
+        """Block m as a problem of its own."""
+        return self.problem.rows(m * self.n0, (m + 1) * self.n0)
+
+    def at(self, x: Array):
+        raise NotImplementedError
+
+    def grads(self, point, rows: Array | None = None) -> Array:
+        """Mean gradients at an evaluated point, one row per entry of ``rows``.
+
+        ``rows`` holds global row indices: 1-D for one component per entry,
+        2-D for one batch per entry.  None gives each block's full gradient.
+        """
+        raise NotImplementedError
+
+    def values(self, point):
+        """Each block's objective at an evaluated point, one per block."""
+        raise NotImplementedError
 
 
-def _rosen_parts(x: Array):
-    key = id(x)
-    hit = _PARTS_CACHE.get(key)
-    if hit is not None and hit[0] is x:
-        return hit
+def _geometry(x: Array):
+    """What every chained-bowl component shares at x: the gradients of the
+    gap and base terms and their squared norms."""
     head = x[:-1]
     gap = x[1:] - head * head
     miss = 1.0 - head
-    grad_gap = np.zeros_like(x)
+    grad_gap = np.zeros(x.shape)
     grad_gap[:-1] = -4.0 * head * gap
     grad_gap[1:] += 2.0 * gap
-    grad_base = np.zeros_like(x)
+    grad_base = np.zeros(x.shape)
     grad_base[:-1] = -2.0 * miss
-    parts = (x, grad_gap, grad_base, float(gap @ gap), float(miss @ miss))
-    _PARTS_CACHE[key] = parts
-    if len(_PARTS_CACHE) > _PARTS_CACHE_MAX:
-        _PARTS_CACHE.popitem(last=False)
-    return parts
+    return grad_gap, grad_base, float(gap @ gap), float(miss @ miss)
 
 
 class RosenbrockSum(FiniteSumProblem):
@@ -122,29 +142,65 @@ class RosenbrockSum(FiniteSumProblem):
     def component_value(self, i: int, x: Array) -> float:
         self._check_index(i)
         self._check_point(x)
-        _, _, _, gap_sq, base_sq = _rosen_parts(x)
+        _, _, gap_sq, base_sq = _geometry(x)
         return self.b[i] * gap_sq + base_sq
 
     def component_grad(self, i: int, x: Array) -> Array:
         self._check_index(i)
-        _, grad_gap, grad_base, _, _ = _rosen_parts(x)
+        grad_gap, grad_base, _, _ = _geometry(x)
         return self.b[i] * grad_gap + grad_base
 
     def value(self, x: Array) -> float:
         self._check_point(x)
-        _, _, _, gap_sq, base_sq = _rosen_parts(x)
+        _, _, gap_sq, base_sq = _geometry(x)
         return self._b_mean * gap_sq + base_sq
 
     def full_grad(self, x: Array) -> Array:
-        _, grad_gap, grad_base, _, _ = _rosen_parts(x)
+        grad_gap, grad_base, _, _ = _geometry(x)
         return self._b_mean * grad_gap + grad_base
 
     def batch_grad(self, indices, x: Array) -> Array:
+        """Mean gradient over a batch of component indices."""
         indices = np.asarray(indices)
         if indices.size == 0:
             raise ValueError("batch_grad: empty index batch")
-        _, grad_gap, grad_base, _, _ = _rosen_parts(x)
+        grad_gap, grad_base, _, _ = _geometry(x)
         return float(self.b[indices].mean()) * grad_gap + grad_base
+
+    def rows(self, lo: int, hi: int) -> "RosenbrockSum":
+        return RosenbrockSum(self.b[lo:hi], self.d, self.u_max, self.seed)
+
+    def split(self, parts: int = 1) -> "_RosenbrockSplit":
+        return _RosenbrockSplit(self, parts)
+
+
+class _RosenbrockSplit(Split):
+    """Every gradient is scale * grad_gap + grad_base with the point's shared
+    geometry; a block's full gradient and value use its mean scale."""
+
+    def __init__(self, problem: RosenbrockSum, parts: int):
+        super().__init__(problem, parts)
+        n0 = self.n0
+        self.b = problem.b
+        self.block_b = [float(self.b[m * n0:(m + 1) * n0].mean()) for m in range(parts)]
+        self._block_scales = np.array(self.block_b)[:, None]
+
+    def at(self, x: Array):
+        return _geometry(x)
+
+    def grads(self, point, rows: Array | None = None) -> Array:
+        grad_gap, grad_base, _, _ = point
+        if rows is None:
+            scale = self._block_scales
+        elif rows.ndim == 1:
+            scale = self.b[rows][:, None]
+        else:
+            scale = self.b[rows].mean(axis=1, keepdims=True)
+        return scale * grad_gap + grad_base
+
+    def values(self, point) -> list:
+        _, _, gap_sq, base_sq = point
+        return [b * gap_sq + base_sq for b in self.block_b]
 
 
 def make_rosenbrock(n: int, d: int, u_max: float, seed: int) -> RosenbrockSum:
@@ -217,37 +273,75 @@ class LogisticProblem(FiniteSumProblem):
 
     def component_grad(self, i: int, x: Array) -> Array:
         self._check_index(i)
-        z = self.features[i] @ self._weights(x)
+        return self._row_grad(i, self._weights(x))
+
+    def value(self, x: Array) -> float:
+        return self._mean_loss(0, self.n, self._weights(x))
+
+    def full_grad(self, x: Array) -> Array:
+        return self._mean_grad(np.arange(self.n), self._weights(x))
+
+    def batch_grad(self, indices, x: Array) -> Array:
+        """Mean gradient over a batch of component indices."""
+        indices = np.asarray(indices)
+        if indices.size == 0:
+            raise ValueError("batch_grad: empty index batch")
+        return self._mean_grad(indices, self._weights(x))
+
+    def rows(self, lo: int, hi: int) -> "LogisticProblem":
+        return LogisticProblem(self.features[lo:hi], self.labels[lo:hi], self.num_classes)
+
+    def split(self, parts: int = 1) -> "_LogisticSplit":
+        return _LogisticSplit(self, parts)
+
+    # Single rows use the 1-D product features[i] @ W and batches the matrix
+    # product; the two round differently, so each path keeps its own form.
+    def _row_grad(self, i, W: Array) -> Array:
+        z = self.features[i] @ W
         z = z - z.max()
         p = np.exp(z)
         p /= p.sum()
         p[self.labels[i]] -= 1.0
         return np.outer(self.features[i], p).ravel()
 
-    def value(self, x: Array) -> float:
-        Z = self.features @ self._weights(x)
-        Z = Z - Z.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(Z).sum(axis=1))
-        picked = Z[np.arange(self.n), self.labels]
-        return float((lse - picked).mean())
-
-    def full_grad(self, x: Array) -> Array:
-        return self._mean_grad(np.arange(self.n), x)
-
-    def batch_grad(self, indices, x: Array) -> Array:
-        indices = np.asarray(indices)
-        if indices.size == 0:
-            raise ValueError("batch_grad: empty index batch")
-        return self._mean_grad(indices, x)
-
-    def _mean_grad(self, rows, x: Array) -> Array:
+    def _mean_grad(self, rows: Array, W: Array) -> Array:
         X = self.features[rows]
-        Z = X @ self._weights(x)
+        Z = X @ W
         Z = Z - Z.max(axis=1, keepdims=True)
         P = np.exp(Z)
         P /= P.sum(axis=1, keepdims=True)
         P[np.arange(rows.size), self.labels[rows]] -= 1.0
         return (X.T @ P).ravel() / rows.size
+
+    def _mean_loss(self, lo: int, hi: int, W: Array) -> float:
+        Z = self.features[lo:hi] @ W
+        Z = Z - Z.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(Z).sum(axis=1))
+        picked = Z[np.arange(hi - lo), self.labels[lo:hi]]
+        return float((lse - picked).mean())
+
+
+class _LogisticSplit(Split):
+    """Evaluating a point only reshapes it into the weight matrix."""
+
+    def __init__(self, problem: LogisticProblem, parts: int):
+        super().__init__(problem, parts)
+        self.blocks = [np.arange(m * self.n0, (m + 1) * self.n0) for m in range(parts)]
+
+    def at(self, x: Array) -> Array:
+        return self.problem._weights(x)
+
+    def grads(self, W: Array, rows: Array | None = None) -> Array:
+        p = self.problem
+        if rows is None:
+            return np.array([p._mean_grad(block, W) for block in self.blocks])
+        if rows.ndim == 1:
+            return np.array([p._row_grad(i, W) for i in rows])
+        return np.array([p._mean_grad(batch, W) for batch in rows])
+
+    def values(self, W: Array) -> Array:
+        return np.array([self.problem._mean_loss(m * self.n0, (m + 1) * self.n0, W)
+                         for m in range(self.parts)])
 
 
 def load_logistic_csv(path, has_header: bool = False) -> LogisticProblem:

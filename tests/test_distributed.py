@@ -1,32 +1,44 @@
-"""Multi-worker simulation: aggregation, cost accounting, and exact reductions."""
+"""Multi-worker runs: aggregation, cost accounting, and exact reductions."""
 
 import numpy as np
 import pytest
 
 from signshuffle import (
-    CommLedger,
     Constant,
+    Method,
     SignRVMState,
     SignRVRState,
-    dist_majority_vote_run,
     dist_signrvm_run,
     dist_signrvr_run,
     majority_vote,
     make_rosenbrock,
     make_rosenbrock_workers,
+    run,
+    shuffle,
     sign,
     sign_average,
     signrvm_epoch,
     signrvr_epoch,
     streams,
 )
-from signshuffle.distributed import WorkerNode, _verify_replicas
 
 MASTER = 31
 
 
 def workers_of(m, n0=4, d=3, u_max=10.0, seed=5):
     return make_rosenbrock_workers(m, n0, d, u_max, seed)
+
+
+def worker_problems(m, n0=4, d=3, seed=5):
+    """Each worker's rows as a problem of its own, drawn from its own stream."""
+    return [make_rosenbrock(n0, d, 10.0, streams.child_seed(seed, streams.PROBLEM, w))
+            for w in range(m)]
+
+
+def vote_run(direction, workers, epochs, lr, beta=0.9, **kw):
+    method = Method("draw", "component", direction, "majority_vote", beta=beta)
+    return run(workers, method, range(epochs), Constant(lr), seed=MASTER,
+               x0=np.zeros(workers.d), **kw)
 
 
 class TestAggregation:
@@ -71,9 +83,7 @@ class TestCommLedger:
         assert ledger.total() == 3250
 
     def test_majority_vote_cost_model(self):
-        workers = workers_of(10, n0=1, d=5)
-        _, _, ledger = dist_majority_vote_run("signsgd_mv", workers, 1, Constant(0.1),
-                                              master_seed=MASTER, x0=np.zeros(5))
+        _, _, ledger = vote_run("sign", workers_of(10, n0=1, d=5), 1, 0.1)
         assert ledger.bytes_up == 50
         assert ledger.bytes_down == 50
 
@@ -82,9 +92,7 @@ class TestCommLedger:
         # (1 + 64) per coordinate per worker, the vote methods (1 + 1).
         avg = dist_signrvr_run(workers_of(10, n0=6, d=4), 3, Constant(0.1),
                                Constant(1.0), master_seed=MASTER, x0=np.zeros(4))[2]
-        vote = dist_majority_vote_run("signsgd_mv", workers_of(10, n0=6, d=4), 3,
-                                      Constant(0.1), master_seed=MASTER,
-                                      x0=np.zeros(4))[2]
+        vote = vote_run("sign", workers_of(10, n0=6, d=4), 3, 0.1)[2]
         assert avg.total() / vote.total() == 32.5
 
     def test_custom_cost_model(self):
@@ -135,82 +143,90 @@ class TestSingleWorkerReduction:
 
 
 class TestFastPaths:
+    """The kernel's shared-geometry row oracle against per-worker problem calls."""
+
     def test_fast_and_generic_agree_bitwise(self):
-        for runner, extra in ((dist_signrvr_run, {}), (dist_signrvm_run, {"beta": 0.7})):
-            fast = runner(workers_of(3), 3, Constant(0.05), Constant(0.5),
-                          master_seed=MASTER, x0=np.zeros(3), **extra)
-            slow = runner(workers_of(3), 3, Constant(0.05), Constant(0.5),
-                          master_seed=MASTER, x0=np.zeros(3), fast_paths=False, **extra)
-            np.testing.assert_array_equal(fast[0], slow[0])
-            assert fast[1] == slow[1]
+        # Manual replay of both anchored methods with each worker's own
+        # problem: permutation, anchor, estimate, momentum, average, freeze.
+        problems = worker_problems(3)
+        for beta in (None, 0.7):
+            method = (Method("shuffle", "anchored", "sign", "sign_average") if beta is None
+                      else Method("shuffle", "anchored", "momentum", "sign_average", beta=beta))
+            x_run, recs, _ = run(workers_of(3), method, range(3), Constant(0.05),
+                                 Constant(0.5), seed=MASTER, x0=np.zeros(3))
+            x = np.zeros(3)
+            f_seen = []
+            for t in range(3):
+                orders = [shuffle(4, t, MASTER, worker=w).order for w in range(3)]
+                y = x
+                anchors = [p.full_grad(y) for p in problems]
+                mom = [np.zeros(3)] * 3
+                for i in range(4):
+                    f_seen.append(float(np.array([p.value(x) for p in problems]).mean()))
+                    est = [(p.component_grad(int(o[i]), x) - p.component_grad(int(o[i]), y)) + a
+                           for p, o, a in zip(problems, orders, anchors)]
+                    if beta is None:
+                        pushed = [sign(e) for e in est]
+                    else:
+                        mom = [beta * m + (1.0 - beta) * e for m, e in zip(mom, est)]
+                        pushed = [sign(m) for m in mom]
+                    if np.abs(x - y).max() <= 0.5:
+                        x = x - 0.05 * (np.stack(pushed).sum(axis=0) / 3)
+            np.testing.assert_array_equal(x_run, x)
+            assert [r.f for r in recs] == f_seen
 
     def test_vote_fast_and_generic_agree(self):
-        for kind in ("signsgd_mv", "signum_mv"):
-            fast = dist_majority_vote_run(kind, workers_of(3), 2, Constant(0.05),
-                                          master_seed=MASTER, x0=np.zeros(3))
-            slow = dist_majority_vote_run(kind, workers_of(3), 2, Constant(0.05),
-                                          master_seed=MASTER, x0=np.zeros(3),
-                                          fast_paths=False)
-            np.testing.assert_array_equal(fast[0], slow[0])
-            assert fast[1] == slow[1]
+        # Batched draws: each worker pushes the sign of its batch mean.
+        problems = worker_problems(3)
+        x_run, _, _ = vote_run("sign", workers_of(3), 2, 0.05, batch_size=2)
+        x = np.zeros(3)
+        for t in range(2):
+            draws = [streams.derive(MASTER, streams.SAMPLE, w, t).integers(0, 4, size=(2, 2))
+                     for w in range(3)]
+            for i in range(2):
+                signs = np.stack([sign(problems[w].batch_grad(draws[w][i], x))
+                                  for w in range(3)])
+                x = x - 0.05 * sign(signs.sum(axis=0))
+        np.testing.assert_array_equal(x_run, x)
 
 
 class TestReplicas:
-    def test_workers_stay_in_lockstep(self):
-        workers = workers_of(3)
-        x, _, _ = dist_signrvm_run(workers, 3, Constant(0.05), Constant(0.5),
-                                   beta=0.6, master_seed=MASTER, x0=np.zeros(3))
-        for w in workers:
-            np.testing.assert_array_equal(w.x, x)
-            np.testing.assert_array_equal(w.y, workers[0].y)
-
-    def test_divergence_is_detected(self):
-        workers = workers_of(2)
-        dist_signrvr_run(workers, 1, Constant(0.05), Constant(0.5),
-                         master_seed=MASTER, x0=np.zeros(3))
-        workers[1].x = workers[1].x + 1e-9
-        with pytest.raises(RuntimeError):
-            _verify_replicas(workers, workers[0].x, "x")
+    """Workers are equal blocks of one problem's rows."""
 
     def test_worker_validation(self):
-        mixed = [workers_of(1, d=3)[0], workers_of(1, d=4)[0]]
+        problem = make_rosenbrock(7, 3, 10.0, 0)
         with pytest.raises(ValueError):
-            dist_signrvr_run(mixed, 1, Constant(0.1), Constant(1.0),
-                             master_seed=MASTER, x0=np.zeros(3))
+            problem.split(2)
         with pytest.raises(ValueError):
-            dist_signrvr_run([], 1, Constant(0.1), Constant(1.0),
-                             master_seed=MASTER, x0=np.zeros(3))
+            problem.split(0)
+        with pytest.raises(ValueError):
+            make_rosenbrock_workers(0, 4, 3, 10.0, 5)
+        with pytest.raises(ValueError):
+            dist_signrvr_run(workers_of(2, d=3), 1, Constant(0.1), Constant(1.0),
+                             master_seed=MASTER, x0=np.zeros(4))
 
 
 class TestWorkerConstruction:
     def test_distinct_local_data(self):
         workers = workers_of(4, seed=12)
-        assert [w.worker_id for w in workers] == [0, 1, 2, 3]
+        assert (workers.parts, workers.n0, workers.problem.n) == (4, 4, 16)
+        blocks = [workers.part(m).b for m in range(4)]
         for a in range(4):
+            np.testing.assert_array_equal(blocks[a], worker_problems(4, seed=12)[a].b)
             for b in range(a + 1, 4):
-                assert not np.array_equal(workers[a].problem.b, workers[b].problem.b)
+                assert not np.array_equal(blocks[a], blocks[b])
 
     def test_deterministic(self):
-        a = workers_of(3, seed=12)
-        b = workers_of(3, seed=12)
-        for wa, wb in zip(a, b):
-            np.testing.assert_array_equal(wa.problem.b, wb.problem.b)
-
-    def test_stream_tag_defaults_to_worker_id(self):
-        w = WorkerNode(worker_id=7, problem=make_rosenbrock(3, 2, 10.0, 0))
-        assert w.tag() == 7
-        w = WorkerNode(worker_id=7, problem=make_rosenbrock(3, 2, 10.0, 0), stream_tag=0)
-        assert w.tag() == 0
+        np.testing.assert_array_equal(workers_of(3, seed=12).problem.b,
+                                      workers_of(3, seed=12).problem.b)
 
 
 class TestMajorityVoteRun:
     def test_signsgd_mv_matches_manual_server_loop(self):
         n0, d, m = 3, 3, 2
-        workers = workers_of(m, n0=n0, d=d, seed=21)
-        x_run, recs, _ = dist_majority_vote_run("signsgd_mv", workers, 2, Constant(0.1),
-                                                master_seed=MASTER, x0=np.zeros(d))
+        x_run, recs, _ = vote_run("sign", workers_of(m, n0=n0, d=d, seed=21), 2, 0.1)
         x = np.zeros(d)
-        problems = [w.problem for w in workers_of(m, n0=n0, d=d, seed=21)]
+        problems = worker_problems(m, n0=n0, d=d, seed=21)
         for t in range(2):
             draws = [streams.derive(MASTER, streams.SAMPLE, w, t).integers(0, n0, size=(n0, 1))
                      for w in range(m)]
@@ -225,12 +241,10 @@ class TestMajorityVoteRun:
         # Per-worker momentum is never reset inside a run; epoch boundaries
         # only matter for the sampling streams.
         n0, d, m, beta = 3, 3, 2, 0.7
-        workers = workers_of(m, n0=n0, d=d, seed=8)
-        x_run, _, _ = dist_majority_vote_run("signum_mv", workers, 2, Constant(0.05),
-                                             beta=beta, master_seed=MASTER,
-                                             x0=np.zeros(d))
+        x_run, _, _ = vote_run("momentum", workers_of(m, n0=n0, d=d, seed=8), 2, 0.05,
+                               beta=beta)
         x = np.zeros(d)
-        problems = [w.problem for w in workers_of(m, n0=n0, d=d, seed=8)]
+        problems = worker_problems(m, n0=n0, d=d, seed=8)
         mom = [np.zeros(d) for _ in range(m)]
         for t in range(2):
             draws = [streams.derive(MASTER, streams.SAMPLE, w, t).integers(0, n0, size=(n0, 1))
@@ -245,8 +259,22 @@ class TestMajorityVoteRun:
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            dist_majority_vote_run("adam_mv", workers_of(2), 1, Constant(0.1),
-                                   master_seed=MASTER, x0=np.zeros(3))
+            Method("draw", "component", "adam", "majority_vote")
+        with pytest.raises(ValueError):
+            Method("draw", "component", "sign", "median")
+        with pytest.raises(ValueError):
+            vote_run("sign", workers_of(2), 1, 0.1, telemetry_stride=0)
+
+    def test_one_worker_vote_is_central_signsgd(self):
+        # A vote over one sign returns that sign: signsgd_mv with one worker
+        # is signsgd on the same rows and draws.
+        split = make_rosenbrock(6, 3, 10.0, 4).split()
+        central = run(split, Method("draw", "component", "sign"), range(3),
+                      Constant(0.05), seed=MASTER, x0=np.zeros(3))
+        voted = vote_run("sign", split, 3, 0.05)
+        np.testing.assert_array_equal(central[0], voted[0])
+        assert central[1] == voted[1]
+        assert central[2].total() == 0 and voted[2].total() == 2 * 3 * 6 * 3
 
 
 def test_freeze_behaviour_matches_centralized_semantics():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +176,17 @@ class TestRunExperiment:
             assert row["diverged"] and row["final"] == math.inf
             assert "metric failed" in row["error"]
 
+    def test_diverged_cell_writes_header_only_trace(self, tmp_path, capsys):
+        config = build_config(None, None, tiny_overrides(
+            tmp_path, n=20, d=5, epochs=3, algorithms=("sgd",), lr_grid=(0.1,),
+            seeds=(1,)), None)
+        row = hz.run_experiment(config)["cells"][0]
+        assert row["diverged"] and row["error"] == "diverged: l1_norm: NaN entry"
+        trace = tmp_path / row["csv"]
+        assert trace.read_text() == hz.metrics.CSV_HEADER + "\n"
+        assert hz.run_check(str(trace)) == 0
+        assert "trajectory diverged" in capsys.readouterr().out
+
     def test_unexpected_failure_cleans_output_dir(self, tmp_path, monkeypatch):
         out = tmp_path / "runs"
         config = build_config(None, None, tiny_overrides(out), None)
@@ -245,6 +257,52 @@ class TestCheckTrace:
         (out / "summary.json").unlink()
         assert hz.run_check(str(out / "signrr_1_lr1e-02.csv")) == 2
 
+    def check_with_summary(self, tmp_path, capsys, doctor):
+        """Exit code and stderr of a check after ``doctor`` rewrites summary.json."""
+        out = self.fresh_run(tmp_path)
+        summary = out / "summary.json"
+        doctor(summary)
+        capsys.readouterr()
+        rc = hz.run_check(str(out / "signrr_1_lr1e-02.csv"))
+        return rc, capsys.readouterr().err
+
+    def test_summary_not_json(self, tmp_path, capsys):
+        rc, err = self.check_with_summary(
+            tmp_path, capsys, lambda p: p.write_text("{truncated"))
+        assert rc == 2 and err.startswith("config error:") and "not valid JSON" in err
+
+    def test_summary_not_an_object(self, tmp_path, capsys):
+        rc, err = self.check_with_summary(
+            tmp_path, capsys, lambda p: p.write_text("[1, 2]"))
+        assert rc == 2 and err.startswith("config error:") and "object" in err
+
+    @staticmethod
+    def without(key):
+        def doctor(path):
+            data = json.loads(path.read_text())
+            del data[key]
+            path.write_text(json.dumps(data))
+        return doctor
+
+    def test_summary_without_config(self, tmp_path, capsys):
+        rc, err = self.check_with_summary(tmp_path, capsys, self.without("config"))
+        assert rc == 2 and err.startswith("config error:") and "'config'" in err
+
+    def test_summary_without_cells(self, tmp_path, capsys):
+        rc, err = self.check_with_summary(tmp_path, capsys, self.without("cells"))
+        assert rc == 2 and err.startswith("config error:") and "'cells'" in err
+
+    @pytest.mark.parametrize("key", ["csv", "algo", "seed", "lr", "beta"])
+    def test_cell_row_without_key(self, tmp_path, capsys, key):
+        def doctor(path):
+            data = json.loads(path.read_text())
+            for row in data["cells"]:
+                del row[key]
+            path.write_text(json.dumps(data))
+
+        rc, err = self.check_with_summary(tmp_path, capsys, doctor)
+        assert rc == 2 and err.startswith("config error:") and f"lacks {key}" in err
+
 
 class TestCli:
     def test_presets_listing(self, capsys):
@@ -276,6 +334,39 @@ class TestCli:
         cfg.write_text("{bad json")
         assert hz.main(["run", "--config", str(cfg)]) == 2
 
+    def test_uneven_logistic_rows_are_exit_2(self, tmp_path, capsys):
+        from conftest import write_logistic_csv
+
+        csv = write_logistic_csv(tmp_path / "rows605.csv", rows=605)
+        rc = hz.main(["run", "--preset", "logistic_dist", "--csv-path", str(csv),
+                      "--workers", "10", "--epochs", "1", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:") and "605 rows" in err and "10 workers" in err
+        assert not list((tmp_path / "o").glob("*.csv"))
+
+    def test_every_field_has_a_flag(self):
+        # Each ExperimentConfig field is a --flag whose text parses back to
+        # the value, and the value survives a JSON round trip of the config.
+        parser = hz._cli()
+        values = dataclasses.asdict(hz.ExperimentConfig())
+        values.update(csv_path="data.csv", problem_seed=7, x0=(0.5, -1.0))
+        for name, value in values.items():
+            if isinstance(value, bool):
+                raw = "yes" if value else "no"
+            elif isinstance(value, tuple):
+                raw = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
+            else:
+                raw = repr(value) if isinstance(value, float) else str(value)
+            flag = "--out" if name == "out_dir" else f"--{name.replace('_', '-')}"
+            args = parser.parse_args(["run", flag, raw])
+            assert getattr(args, f"opt_{name}") == raw
+            assert hz._parse_flag(name, raw) == value
+            loaded = hz.config_from_dict(json.loads(json.dumps({name: value})))
+            assert getattr(loaded, name) == value
+        assert hz._parse_flag("csv_path", "none") is None
+        assert hz._parse_flag("x0", "1.5") == 1.5
+
 
 def test_final_metric_matches_trace(tmp_path):
     # The stored per-cell final must equal recomputing the smoothed series
@@ -290,3 +381,57 @@ def test_final_metric_matches_trace(tmp_path):
     out = process_series(series, config.smoothing_window, "log10",
                          smooth_after_transform=config.smooth_after_log)
     assert row["final"] == out.smoothed[-1]
+
+
+def _outputs(out_dir):
+    """Trace bytes by file name, plus the summary sections that must be stable."""
+    out_dir = Path(out_dir)
+    traces = {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))}
+    summary = json.loads((out_dir / "summary.json").read_text())
+    return traces, {k: summary[k] for k in ("cells", "best", "lemmas", "lemma_violations")}
+
+
+def logistic_config(preset, csv_path, out_dir, **kw):
+    overrides = dict(csv_path=str(csv_path), epochs=2, lr_grid=(1e-1, 1e-2),
+                     beta_grid=(0.5,), seeds=(1, 2), smoothness_samples=30,
+                     out_dir=str(out_dir))
+    overrides.update(kw)
+    return build_config(preset, None, overrides, None)
+
+
+class TestLogisticPresets:
+    # Lemma violations are not asserted: the sampled smoothness estimate can
+    # undershoot on logistic data (see ROADMAP item 4).
+
+    def test_logistic_central_sweep(self, logistic_csv, tmp_path):
+        config = logistic_config("logistic_central", logistic_csv, tmp_path)
+        summary = hz.run_experiment(config)
+        assert len(summary["cells"]) == len(grid_cells(config))
+        assert sorted({row["algo"] for row in summary["cells"]}) == sorted(hz.CENTRAL_ALGOS)
+        for row in summary["cells"]:
+            assert (tmp_path / row["csv"]).exists()
+            assert row["bytes_up"] == row["bytes_down"] == 0
+        joined = "\n".join(summary["lemmas"])
+        assert "signrvm vr-deviation" in joined and "signrr signed-descent" in joined
+
+    def test_logistic_dist_sweep(self, logistic_csv, tmp_path):
+        config = logistic_config("logistic_dist", logistic_csv, tmp_path)
+        summary = hz.run_experiment(config)
+        assert config.workers == 10
+        rounds = 6 * 2  # 60 rows over 10 workers, two epochs
+        for row in summary["cells"]:
+            assert not row["diverged"]
+            up = rounds * 10 * 12
+            assert row["bytes_up"] == up
+            assert row["bytes_down"] == (64 * up if row["algo"].startswith("dist_") else up)
+        joined = "\n".join(summary["lemmas"])
+        assert "dist_signrvr vr-deviation" in joined
+
+    def test_process_pool_matches_serial_run(self, logistic_csv, tmp_path):
+        for preset in ("logistic_central", "logistic_dist"):
+            serial = logistic_config(preset, logistic_csv, tmp_path / preset / "serial")
+            pooled = logistic_config(preset, logistic_csv, tmp_path / preset / "pooled",
+                                     jobs=2)
+            hz.run_experiment(serial)
+            hz.run_experiment(pooled)
+            assert _outputs(serial.out_dir) == _outputs(pooled.out_dir)

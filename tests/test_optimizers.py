@@ -1,36 +1,41 @@
-"""Epoch drivers checked against independent step-by-step replays."""
+"""The update kernel checked against independent step-by-step replays."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from signshuffle import (
-    BaselineState,
     Constant,
     InverseSqrt,
-    SignRRState,
+    Method,
     SignRVMState,
     SignRVRState,
-    baseline_epoch,
     bias_correct,
     make_rosenbrock,
+    run,
     shuffle,
     sign,
-    signrr_epoch,
     signrvm_epoch,
     signrvr_epoch,
     streams,
 )
 
 N, D, SEED = 6, 3, 17
+X0 = (0.2, -0.4, 1.1)
+SIGNRR = Method("shuffle", "component", "sign")
 
 
 def problem():
     return make_rosenbrock(N, D, 10.0, seed=2)
 
 
-def start(cls=SignRRState, **kw):
-    return cls(x=np.array([0.2, -0.4, 1.1]), seed=SEED, **kw)
+def start(cls=SignRVRState, **kw):
+    return cls(x=np.array(X0), seed=SEED, **kw)
+
+
+def central(method, p, gamma, epochs=1, x0=X0, **kw):
+    """(final iterate, records, ledger) of a single-machine run from epoch 0."""
+    return run(p.split(), method, range(epochs), gamma, seed=SEED, x0=np.array(x0), **kw)
 
 
 def test_sign_semantics():
@@ -42,66 +47,76 @@ def test_sign_semantics():
 class TestSignRR:
     def test_matches_manual_replay(self):
         p = problem()
-        st_ = start()
-        x = st_.x.copy()
-        gamma = Constant(0.05)
+        x_run, _, _ = central(SIGNRR, p, Constant(0.05), epochs=3)
+        x = np.array(X0)
         for t in range(3):
-            signrr_epoch(st_, p, gamma)
             for k in shuffle(N, t, SEED).order:
                 x = x - 0.05 * sign(p.component_grad(int(k), x))
-        np.testing.assert_array_equal(st_.x, x)
-        assert st_.t == 3
+        np.testing.assert_array_equal(x_run, x)
 
     def test_batched_replay(self):
         p = problem()
-        st_ = start()
-        signrr_epoch(st_, p, Constant(0.1), batch_size=4)
+        x_run, _, _ = central(SIGNRR, p, Constant(0.1), batch_size=4)
         order = shuffle(N, 0, SEED).order
-        x = np.array([0.2, -0.4, 1.1])
+        x = np.array(X0)
         for batch in (order[:4], order[4:]):
             x = x - 0.1 * sign(p.batch_grad(batch, x))
-        np.testing.assert_array_equal(st_.x, x)
+        np.testing.assert_array_equal(x_run, x)
 
     def test_trace_fields(self):
         p = problem()
-        st_ = start()
-        x0 = st_.x.copy()
-        _, recs = signrr_epoch(st_, p, InverseSqrt(0.1))
+        _, recs, ledger = central(SIGNRR, p, InverseSqrt(0.1))
         assert len(recs) == N
         first = recs[0]
         assert (first.t, first.i, first.applied, first.d_threshold) == (0, 0, True, 0.0)
-        assert first.f == p.value(x0)
+        assert first.f == p.value(np.array(X0))
         assert first.gamma == 0.1 / np.sqrt(1.0)
         assert recs[3].gamma == 0.1 / np.sqrt(4.0)
+        assert ledger.total() == 0
 
     def test_telemetry_stride(self):
         p = problem()
-        _, recs = signrr_epoch(start(), p, Constant(0.1), telemetry_stride=3)
+        _, recs, _ = central(SIGNRR, p, Constant(0.1), telemetry_stride=3)
         assert [r.i for r in recs] == [0, 3]
         detail = []
-        signrr_epoch(start(), p, Constant(0.1), telemetry_stride=3, detail=detail)
+        central(SIGNRR, p, Constant(0.1), telemetry_stride=3, detail=detail)
         assert len(detail) == N
 
     def test_validation(self):
         p = problem()
         with pytest.raises(ValueError):
-            signrr_epoch(start(), p, Constant(0.1), telemetry_stride=0)
+            central(SIGNRR, p, Constant(0.1), telemetry_stride=0)
         with pytest.raises(ValueError):
-            signrr_epoch(start(), p, Constant(0.1), batch_size=0)
+            central(SIGNRR, p, Constant(0.1), batch_size=0)
         with pytest.raises(ValueError):
-            signrr_epoch(SignRRState(x=np.zeros(D + 1), seed=1), p, Constant(0.1))
+            central(SIGNRR, p, Constant(0.1), x0=np.zeros(D + 1))
+        with pytest.raises(ValueError):
+            central(SIGNRR, p, Constant(0.1), epochs=0)
 
 
 class TestSignRVR:
     def test_anchor_cancellation_is_bit_exact(self):
         p = problem()
         detail = []
-        st_ = start(SignRVRState)
-        signrvr_epoch(st_, p, Constant(0.05), Constant(2.0), detail=detail)
+        signrvr_epoch(start(SignRVRState), p, Constant(0.05), Constant(2.0), detail=detail)
         # At the first inner iteration x equals the anchor, so the component
         # difference cancels and the estimate IS the anchor gradient.
-        np.testing.assert_array_equal(detail[0].stoch_grad, st_.anchor_grad)
-        np.testing.assert_array_equal(st_.anchor_grad, p.full_grad(st_.y))
+        np.testing.assert_array_equal(detail[0].y, X0)
+        np.testing.assert_array_equal(detail[0].stoch_grad, p.full_grad(detail[0].y))
+
+    def test_detail_values_bracket_each_step(self):
+        p = problem()
+        detail = []
+        state = start(SignRVRState)
+        for _ in range(2):
+            signrvr_epoch(state, p, Constant(0.05), Constant(0.08), detail=detail)
+        for row, nxt in zip(detail, detail[1:]):
+            assert row.f_before == p.value(row.x)
+            assert row.f_after == p.value(nxt.x)
+            np.testing.assert_array_equal(row.grad_before, p.full_grad(row.x))
+            np.testing.assert_array_equal(row.worker_dev,
+                                          np.abs(row.stoch_grad - row.grad_before))
+        assert detail[-1].f_after == p.value(state.x)
 
     def test_matches_manual_replay(self):
         p = problem()
@@ -155,13 +170,12 @@ class TestSignRVR:
 
 
 class TestSignRVM:
-    def run_detail(self, epochs=2, beta=0.6, cap=2.0, carry=False):
+    def run_detail(self, epochs=2, beta=0.6, cap=2.0):
         p = problem()
         st_ = start(SignRVMState, beta=beta)
         detail = []
         for _ in range(epochs):
-            signrvm_epoch(st_, p, Constant(0.05), Constant(cap),
-                          carry_momentum=carry, detail=detail)
+            signrvm_epoch(st_, p, Constant(0.05), Constant(cap), detail=detail)
         return st_, detail
 
     def test_momentum_replays_from_estimates(self):
@@ -187,18 +201,6 @@ class TestSignRVM:
         for a, b in zip(frozen, frozen[1:]):
             assert not np.array_equal(a.momentum, b.momentum)
 
-    def test_carry_momentum_bridges_epochs(self):
-        _, reset_detail = self.run_detail(epochs=2, carry=False)
-        _, carry_detail = self.run_detail(epochs=2, carry=True)
-        beta = 0.6
-        last = reset_detail[N - 1].momentum
-        row = carry_detail[N]
-        assert row.i == 0
-        np.testing.assert_array_equal(row.momentum,
-                                      beta * last + (1.0 - beta) * row.stoch_grad)
-        np.testing.assert_array_equal(
-            reset_detail[N].momentum, (1.0 - beta) * reset_detail[N].stoch_grad)
-
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError):
             start(SignRVMState, beta=1.0)
@@ -212,58 +214,56 @@ class TestBaselines:
 
     def test_sgd_replay(self):
         p = problem()
-        st_ = start(BaselineState)
-        x = st_.x.copy()
+        x_run, _, _ = central(Method("draw", "component", "raw"), p, Constant(0.01),
+                              epochs=2)
+        x = np.array(X0)
         for t in range(2):
-            baseline_epoch("sgd", st_, p, gamma=Constant(0.01))
             for k in self.replay_draws(t)[:, 0]:
                 x = x - 0.01 * p.component_grad(int(k), x)
-        np.testing.assert_array_equal(st_.x, x)
+        np.testing.assert_array_equal(x_run, x)
 
     def test_rr_walks_the_permutation(self):
         p = problem()
-        st_ = start(BaselineState)
-        baseline_epoch("rr", st_, p, gamma=Constant(0.01))
-        x = np.array([0.2, -0.4, 1.1])
+        x_run, _, _ = central(Method("shuffle", "component", "raw"), p, Constant(0.01))
+        x = np.array(X0)
         for k in shuffle(N, 0, SEED).order:
             x = x - 0.01 * p.component_grad(int(k), x)
-        np.testing.assert_array_equal(st_.x, x)
+        np.testing.assert_array_equal(x_run, x)
 
     def test_signsgd_replay(self):
         p = problem()
-        st_ = start(BaselineState)
-        baseline_epoch("signsgd", st_, p, gamma=Constant(0.05))
-        x = np.array([0.2, -0.4, 1.1])
+        x_run, _, _ = central(Method("draw", "component", "sign"), p, Constant(0.05))
+        x = np.array(X0)
         for k in self.replay_draws(0)[:, 0]:
             x = x - 0.05 * sign(p.component_grad(int(k), x))
-        np.testing.assert_array_equal(st_.x, x)
+        np.testing.assert_array_equal(x_run, x)
 
     def test_signum_momentum_persists_across_epochs(self):
         p = problem()
-        st_ = start(BaselineState)
         beta = 0.7
-        x = st_.x.copy()
+        detail = []
+        x_run, _, _ = central(Method("draw", "component", "momentum", beta=beta), p,
+                              Constant(0.05), epochs=2, detail=detail)
+        x = np.array(X0)
         m = np.zeros(D)
         for t in range(2):
-            baseline_epoch("signum", st_, p, gamma=Constant(0.05), beta=beta)
             for k in self.replay_draws(t)[:, 0]:
                 g = p.component_grad(int(k), x)
                 m = beta * m + (1.0 - beta) * g
                 x = x - 0.05 * sign(m)
-        np.testing.assert_array_equal(st_.x, x)
-        np.testing.assert_array_equal(st_.m, m)
+        np.testing.assert_array_equal(x_run, x)
+        np.testing.assert_array_equal(detail[-1].momentum, m)
 
     def test_adam_matches_reference(self):
         p = problem()
-        st_ = start(BaselineState)
         beta, beta2, eps, lr = 0.9, 0.999, 1e-8, 0.01
-        x = st_.x.copy()
+        x_run, _, _ = central(Method("draw", "component", "adam", beta=beta, beta2=beta2,
+                                     eps=eps), p, Constant(lr), epochs=2)
+        x = np.array(X0)
         m = np.zeros(D)
         v = np.zeros(D)
         steps = 0
         for t in range(2):
-            baseline_epoch("adam", st_, p, gamma=Constant(lr), beta=beta,
-                           beta2=beta2, eps=eps)
             for k in self.replay_draws(t)[:, 0]:
                 g = p.component_grad(int(k), x)
                 m = beta * m + (1.0 - beta) * g
@@ -272,29 +272,33 @@ class TestBaselines:
                 m_hat = m / (1.0 - beta ** steps)
                 v_hat = v / (1.0 - beta2 ** steps)
                 x = x - lr * m_hat / (np.sqrt(v_hat) + eps)
-        np.testing.assert_array_equal(st_.x, x)
-        assert st_.steps == 2 * N
+        np.testing.assert_array_equal(x_run, x)
 
     def test_bias_correction_state_is_global(self):
-        # Starting a fresh state at epoch 1 resets the step counter, so the
-        # debiasing factors differ from a continued run even though the
-        # sampled indices coincide.
+        # Restarting at epoch 1 from the same iterate resets the step
+        # counter, so the debiasing factors differ from a continued run
+        # even though the sampled indices coincide.
         p = problem()
-        cont = start(BaselineState)
-        baseline_epoch("adam", cont, p, gamma=Constant(0.01))
-        snapshot = BaselineState(x=cont.x.copy(), seed=SEED, t=1)
-        baseline_epoch("adam", cont, p, gamma=Constant(0.01))
-        baseline_epoch("adam", snapshot, p, gamma=Constant(0.01))
-        assert not np.array_equal(cont.x, snapshot.x)
+        adam = Method("draw", "component", "adam")
+        cont, _, _ = central(adam, p, Constant(0.01), epochs=2)
+        first, _, _ = central(adam, p, Constant(0.01))
+        restart, _, _ = run(p.split(), adam, range(1, 2), Constant(0.01), seed=SEED,
+                            x0=first)
+        assert not np.array_equal(cont, restart)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            baseline_epoch("sign", start(BaselineState), problem(), gamma=Constant(0.1))
+            Method("draw", "component", "sign_of_sum")
+        with pytest.raises(ValueError):
+            Method("sweep", "component", "sign")
+        with pytest.raises(ValueError):
+            # Without an aggregator the run can hold only one block.
+            run(make_rosenbrock(N, D, 10.0, 2).split(2), SIGNRR, range(1), Constant(0.1),
+                seed=SEED, x0=np.zeros(D))
 
     def test_bad_beta(self):
         with pytest.raises(ValueError):
-            baseline_epoch("signum", start(BaselineState), problem(),
-                           gamma=Constant(0.1), beta=1.5)
+            Method("draw", "component", "momentum", beta=1.5)
 
 
 class TestBiasCorrect:

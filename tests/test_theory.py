@@ -9,6 +9,7 @@ import pytest
 from signshuffle import (
     Constant,
     LemmaReport,
+    Method,
     SignRVRState,
     check_descent,
     check_sign_markov,
@@ -17,9 +18,8 @@ from signshuffle import (
     iterate_box,
     make_rosenbrock,
     markov_suite,
-    signrr_epoch,
+    run,
     signrvr_epoch,
-    SignRRState,
 )
 from signshuffle.optimizers import StepDetail
 
@@ -202,9 +202,8 @@ def test_live_trajectory_passes_both_checks():
     assert check_descent(detail, L).ok()
 
     rr_detail = []
-    rr_state = SignRRState(x=np.full(4, -0.5), seed=3)
-    for _ in range(3):
-        signrr_epoch(rr_state, p, Constant(0.02), detail=rr_detail)
+    run(p.split(), Method("shuffle", "component", "sign"), range(3), Constant(0.02),
+        seed=3, x0=np.full(4, -0.5), detail=rr_detail)
     lo, hi = iterate_box(rr_detail, pad=0.02)
     L = estimate_coordinate_smoothness(p, (lo, hi), samples=150, seed=0)
     assert check_descent(rr_detail, L).ok()
