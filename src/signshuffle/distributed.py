@@ -16,12 +16,12 @@ import numpy as np
 
 from . import streams
 from .optimizers import Method, run
-from .problems import RosenbrockSum, Split, make_rosenbrock
+from .problems import FiniteSumProblem, RosenbrockSum, make_rosenbrock
 from .schedules import Schedule
 
 
 def make_rosenbrock_workers(num_workers: int, n0: int, d: int, u_max: float,
-                            seed: int) -> Split:
+                            seed: int) -> RosenbrockSum:
     """n0 components per worker, the scales of worker m drawn from its own stream."""
     if num_workers < 1:
         raise ValueError(f"num_workers must be at least 1, got {num_workers}")
@@ -31,8 +31,9 @@ def make_rosenbrock_workers(num_workers: int, n0: int, d: int, u_max: float,
     return RosenbrockSum(b, d, u_max, seed).split(num_workers)
 
 
-def dist_signrvr_run(workers: Split, epochs: int, gamma: Schedule, dthr: Schedule, *,
-                     master_seed: int, x0, aggregation: str = "sign_average", **kw):
+def dist_signrvr_run(workers: FiniteSumProblem, epochs: int, gamma: Schedule,
+                     dthr: Schedule, *, master_seed: int, x0,
+                     aggregation: str = "sign_average", **kw):
     """Distributed anchored variance-reduced sign method.
 
     Every worker walks its own permutation of its rows, pushes the sign of
@@ -45,9 +46,9 @@ def dist_signrvr_run(workers: Split, epochs: int, gamma: Schedule, dthr: Schedul
                gamma, dthr, seed=master_seed, x0=x0, **kw)
 
 
-def dist_signrvm_run(workers: Split, epochs: int, gamma: Schedule, dthr: Schedule, *,
-                     beta: float, master_seed: int, x0, aggregation: str = "sign_average",
-                     **kw):
+def dist_signrvm_run(workers: FiniteSumProblem, epochs: int, gamma: Schedule,
+                     dthr: Schedule, *, beta: float, master_seed: int, x0,
+                     aggregation: str = "sign_average", **kw):
     """Distributed anchored method with per-worker momentum of the estimates.
 
     Each worker's momentum advances on every iteration, frozen ones

@@ -13,8 +13,8 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import sys
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +24,7 @@ import numpy as np
 from . import metrics, theory
 from .distributed import make_rosenbrock_workers
 from .optimizers import Method, run
-from .problems import (LogisticProblem, Split, estimate_coordinate_smoothness,
+from .problems import (FiniteSumProblem, LogisticProblem, estimate_coordinate_smoothness,
                        load_logistic_csv, make_rosenbrock)
 from .schedules import Constant, InverseSqrt
 
@@ -134,8 +134,31 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
 
-# Each field's annotation drives CLI flag parsing and config-file coercion.
+# Each field's annotation drives CLI flag parsing, config-file coercion and
+# the type check of validate_config.
 _FIELD_KINDS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+
+
+# The types each scalar annotation admits; a bool passes only as a bool.
+_ADMITS = {"str": str, "int": numbers.Integral, "float": numbers.Real, "bool": bool,
+           "None": type(None)}
+
+
+def _admits(kind: str, value) -> bool:
+    return isinstance(value, _ADMITS[kind]) and (kind == "bool") == isinstance(value, bool)
+
+
+def _fits(kind: str, value) -> bool:
+    """Whether ``value`` has a type the annotation ``kind`` names."""
+    for alt in kind.split(" | "):
+        if alt.startswith("tuple["):
+            item = alt[len("tuple["):-len(", ...]")]
+            if isinstance(value, tuple) and all(_admits(item, v) for v in value):
+                return True
+        elif _admits(alt, value):
+            return True
+    return False
+
 
 PRESET_NAMES = ("rosenbrock_central", "rosenbrock_dist",
                 "logistic_central", "logistic_dist")
@@ -171,6 +194,10 @@ def apply_scale(config: ExperimentConfig, scale: float) -> ExperimentConfig:
 
 
 def validate_config(config: ExperimentConfig) -> None:
+    wrong = [f"{name}: expected {kind}, got {getattr(config, name)!r}"
+             for name, kind in _FIELD_KINDS.items() if not _fits(kind, getattr(config, name))]
+    if wrong:
+        raise ConfigError("; ".join(wrong))
     errors = []
     if config.problem not in ("rosenbrock", "logistic"):
         errors.append(f"problem: unknown problem {config.problem!r}")
@@ -258,15 +285,16 @@ def _coerce(name: str, value):
     if kind.startswith("tuple") and isinstance(value, list):
         return tuple(value)
     if kind == "float | tuple[float, ...]" and isinstance(value, list):
-        return tuple(float(v) for v in value)
+        return tuple(float(v) if _admits("float", v) else v for v in value)
     return value
 
 
-def config_from_dict(data: dict) -> ExperimentConfig:
+def config_from_dict(data: dict, base: ExperimentConfig | None = None) -> ExperimentConfig:
+    """``base`` (the defaults when None) with the fields that ``data`` names."""
     unknown = [k for k in data if k not in _FIELD_KINDS]
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return dataclasses.replace(ExperimentConfig(),
+    return dataclasses.replace(base or ExperimentConfig(),
                                **{k: _coerce(k, v) for k, v in data.items()})
 
 
@@ -293,11 +321,7 @@ def build_config(preset_name=None, file_path=None, overrides=None,
     if overrides:
         merged.update(overrides)
     if merged:
-        unknown = [k for k in merged if k not in _FIELD_KINDS]
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        config = dataclasses.replace(config,
-                                     **{k: _coerce(k, v) for k, v in merged.items()})
+        config = config_from_dict(merged, config)
     if scale is not None:
         config = apply_scale(config, scale)
     validate_config(config)
@@ -352,38 +376,34 @@ def _problem_seed(config: ExperimentConfig, seed: int) -> int:
     return seed if config.problem_seed is None else config.problem_seed
 
 
-_LOGISTIC_CACHE = {}
+def _load_data(config: ExperimentConfig) -> LogisticProblem | None:
+    """The rows of a logistic sweep, read once per sweep or check; None for
+    Rosenbrock, whose rows each cell draws from its seed."""
+    if config.problem != "logistic":
+        return None
+    return load_logistic_csv(config.csv_path, has_header=config.csv_has_header)
 
 
-def _load_logistic(config: ExperimentConfig) -> LogisticProblem:
-    key = (config.csv_path, config.csv_has_header)
-    if key not in _LOGISTIC_CACHE:
-        _LOGISTIC_CACHE[key] = load_logistic_csv(config.csv_path,
-                                                 has_header=config.csv_has_header)
-    return _LOGISTIC_CACHE[key]
-
-
-def _check_partition(config: ExperimentConfig) -> None:
+def _check_partition(config: ExperimentConfig, data: LogisticProblem | None) -> None:
     """Distributed logistic runs need the rows to split evenly across workers."""
-    if config.problem != "logistic" or not any(ALGORITHMS[a].distributed
-                                               for a in config.algorithms):
+    if data is None or not any(ALGORITHMS[a].distributed for a in config.algorithms):
         return
-    n = _load_logistic(config).n
-    if n % config.workers:
-        raise ConfigError(f"workers: {n} rows do not split evenly across "
+    if data.n % config.workers:
+        raise ConfigError(f"workers: {data.n} rows do not split evenly across "
                           f"{config.workers} workers; the row count must be "
                           f"divisible by the worker count")
 
 
-def _split(config: ExperimentConfig, spec: AlgorithmSpec, seed: int) -> Split:
+def _problem(config: ExperimentConfig, spec: AlgorithmSpec, seed: int,
+             data: LogisticProblem | None) -> FiniteSumProblem:
     """The cell's problem, split into one block per worker."""
-    if config.problem == "logistic":
-        return _load_logistic(config).split(config.workers if spec.distributed else 1)
+    if data is not None:
+        return data.split(config.workers if spec.distributed else 1)
     problem_seed = _problem_seed(config, seed)
     if spec.distributed:
         return make_rosenbrock_workers(config.workers, config.n, config.d,
                                        config.u_max, problem_seed)
-    return make_rosenbrock(config.n, config.d, config.u_max, problem_seed).split()
+    return make_rosenbrock(config.n, config.d, config.u_max, problem_seed)
 
 
 def _x0_vector(config: ExperimentConfig, d: int) -> np.ndarray:
@@ -395,8 +415,9 @@ def _x0_vector(config: ExperimentConfig, d: int) -> np.ndarray:
     return np.full(d, float(config.x0))
 
 
-def _run(config: ExperimentConfig, cell: Cell, detail=None):
-    """Run one cell through the update kernel: (trace records, ledger, split).
+def _run(config: ExperimentConfig, cell: Cell, data: LogisticProblem | None,
+         detail=None):
+    """Run one cell through the update kernel: (trace records, ledger, problem).
 
     Divergence surfaces as FloatingPointError or OverflowError.
     """
@@ -406,16 +427,16 @@ def _run(config: ExperimentConfig, cell: Cell, detail=None):
                     spec.aggregator or config.aggregation,
                     beta=0.9 if cell.beta is None else cell.beta)
     with np.errstate(all="ignore"):
-        split = _split(config, spec, cell.seed)
+        problem = _problem(config, spec, cell.seed, data)
         _, records, ledger = run(
-            split, method, range(config.epochs),
+            problem, method, range(config.epochs),
             _schedule(config.gamma_kind, cell.lr, shifted),
             _schedule(config.dthr_kind, config.d0, shifted),
-            seed=cell.seed, x0=_x0_vector(config, split.d),
+            seed=cell.seed, x0=_x0_vector(config, problem.d),
             batch_size=config.batch_size, telemetry_stride=config.telemetry_stride,
             detail=detail, bytes_per_sign=config.bytes_per_sign,
             bytes_per_float=config.bytes_per_float)
-    return records, ledger, split
+    return records, ledger, problem
 
 
 def _final_metric(config: ExperimentConfig, records) -> float:
@@ -431,8 +452,12 @@ def _final_metric(config: ExperimentConfig, records) -> float:
     return final
 
 
-def run_cell(config: ExperimentConfig, cell: Cell) -> dict:
+def run_cell(config: ExperimentConfig, cell: Cell,
+             data: LogisticProblem | None = None) -> dict:
     """Execute one cell, write its trace CSV, and summarize it.
+
+    ``data`` is the sweep's loaded logistic rows; without it a logistic cell
+    reads ``config.csv_path`` itself.
 
     Divergence (overflow to NaN, metric leaving the positive range) is not
     an error: the cell reports an infinite final metric so grid selection
@@ -444,8 +469,10 @@ def run_cell(config: ExperimentConfig, cell: Cell) -> dict:
            "csv": cell_filename(cell), "final": math.inf, "diverged": False,
            "error": "", "bytes_up": 0, "bytes_down": 0}
     records = []
+    if data is None:
+        data = _load_data(config)
     try:
-        records, ledger, _ = _run(config, cell)
+        records, ledger, _ = _run(config, cell, data)
         row["bytes_up"] = ledger.bytes_up
         row["bytes_down"] = ledger.bytes_down
     except (FloatingPointError, OverflowError) as exc:
@@ -463,38 +490,37 @@ def run_cell(config: ExperimentConfig, cell: Cell) -> dict:
     return row
 
 
-def _pool_cell(payload):
-    config, cell = payload
-    return run_cell(config, cell)
-
-
 def _sort_key(row):
     beta = -1.0 if row["beta"] is None else row["beta"]
     return (row["final"], row["lr"], beta)
 
 
-def select_best(rows) -> dict:
-    """Per (algorithm, seed): the minimal final metric, ties to smaller lr."""
+def _best_by(rows, group) -> dict:
+    """Per ``group(row)``: the minimal final metric, ties to smaller lr."""
     best = {}
     for row in rows:
-        key = (row["algo"], row["seed"])
+        key = group(row)
         cur = best.get(key)
         if cur is None or _sort_key(row) < _sort_key(cur):
             best[key] = row
     return best
 
 
-def _reports_for_detail(config: ExperimentConfig, cell: Cell, detail, split: Split):
+def select_best(rows) -> dict:
+    """Per (algorithm, seed): the minimal final metric, ties to smaller lr."""
+    return _best_by(rows, lambda row: (row["algo"], row["seed"]))
+
+
+def _reports_for_detail(config: ExperimentConfig, cell: Cell, detail,
+                        problem: FiniteSumProblem):
     spec = ALGORITHMS[cell.algo]
     if not detail or not (spec.vr_check or spec.descent_check):
         return []
     pad = max(step.gamma for step in detail)
     region = theory.iterate_box(detail, pad)
-    smooth = None
-    for m in range(split.parts):
-        est = estimate_coordinate_smoothness(split.part(m), region,
-                                             config.smoothness_samples, seed=m)
-        smooth = est if smooth is None else np.maximum(smooth, est)
+    smooth = np.max([estimate_coordinate_smoothness(problem, region, config.smoothness_samples,
+                                                    seed=m, block=m)
+                     for m in range(problem.parts)], axis=0)
     reports = []
     if spec.vr_check:
         reports.append(theory.check_vr_bound(detail, smooth))
@@ -504,22 +530,10 @@ def _reports_for_detail(config: ExperimentConfig, cell: Cell, detail, split: Spl
             for r in reports]
 
 
-def _check_cell(config: ExperimentConfig, cell: Cell):
-    detail = []
-    _, _, split = _run(config, cell, detail)
-    return _reports_for_detail(config, cell, detail, split)
-
-
-def _lemma_section(config: ExperimentConfig, rows):
+def _lemma_section(config: ExperimentConfig, rows, data: LogisticProblem | None):
     """Lemma reports for the best non-diverged cell of each checkable method,
     plus the synthetic sign-probability suite."""
-    per_algo = {}
-    for row in rows:
-        if row["diverged"]:
-            continue
-        cur = per_algo.get(row["algo"])
-        if cur is None or _sort_key(row) < _sort_key(cur):
-            per_algo[row["algo"]] = row
+    per_algo = _best_by([row for row in rows if not row["diverged"]], lambda row: row["algo"])
     reports = []
     for algo in config.algorithms:
         spec = ALGORITHMS[algo]
@@ -529,7 +543,9 @@ def _lemma_section(config: ExperimentConfig, rows):
         if row is None:
             continue
         cell = Cell(algo, row["seed"], row["lr"], row["beta"])
-        reports.extend(_check_cell(config, cell))
+        detail = []
+        _, _, problem = _run(config, cell, data, detail)
+        reports.extend(_reports_for_detail(config, cell, detail, problem))
     reports.extend(theory.markov_suite())
     return reports
 
@@ -537,17 +553,19 @@ def _lemma_section(config: ExperimentConfig, rows):
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run the sweep, write per-cell CSVs and summary.json, return the summary."""
     validate_config(config)
-    _check_partition(config)
+    data = _load_data(config)
+    _check_partition(config, data)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = grid_cells(config)
     try:
         if config.jobs > 1:
             with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                rows = list(pool.map(_pool_cell, [(config, c) for c in cells]))
+                rows = list(pool.map(run_cell, [config] * len(cells), cells,
+                                     [data] * len(cells)))
         else:
-            rows = [run_cell(config, c) for c in cells]
-        lemma_reports = _lemma_section(config, rows) if config.lemma_checks else []
+            rows = [run_cell(config, c, data) for c in cells]
+        lemma_reports = _lemma_section(config, rows, data) if config.lemma_checks else []
         best = select_best(rows)
         summary = {
             "config": dataclasses.asdict(config),
@@ -569,16 +587,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
         raise
 
 
-def _csv_bytes(records) -> bytes:
-    with tempfile.NamedTemporaryFile(suffix=".csv", delete=False) as fh:
-        tmp = Path(fh.name)
-    try:
-        metrics.emit_csv(records, tmp)
-        return tmp.read_bytes()
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _stored_cell(summary_path: Path, name: str):
     """The config and cell behind a stored trace; ConfigError if the summary
     is malformed or does not list the trace."""
@@ -594,7 +602,6 @@ def _stored_cell(summary_path: Path, name: str):
             raise ConfigError(f"{summary_path}: missing or malformed {key!r}")
     config = config_from_dict(summary["config"])
     validate_config(config)
-    _check_partition(config)
     for k, row in enumerate(summary["cells"]):
         missing = [key for key in ("csv", "algo", "seed", "lr", "beta")
                    if not isinstance(row, dict) or key not in row]
@@ -621,6 +628,8 @@ def run_check(trace_path: str) -> int:
         return 2
     try:
         config, cell = _stored_cell(summary_path, path.name)
+        data = _load_data(config)
+        _check_partition(config, data)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -628,17 +637,17 @@ def run_check(trace_path: str) -> int:
     records = []
     diverged = ""
     try:
-        records, _, split = _run(config, cell, detail)
+        records, _, problem = _run(config, cell, data, detail)
     except (FloatingPointError, OverflowError) as exc:
         diverged = str(exc)
-    if _csv_bytes(records) != path.read_bytes():
+    if metrics.csv_text(records).encode() != path.read_bytes():
         print(f"check failed: rerun of {path.name} differs from the stored trace")
         return 3
     print(f"{path.name}: rerun matches stored trace byte for byte")
     if diverged:
         print(f"trajectory diverged ({diverged}); no lemma checks to run")
         return 0
-    reports = _reports_for_detail(config, cell, detail, split)
+    reports = _reports_for_detail(config, cell, detail, problem)
     if not reports:
         print("no trajectory lemma checks apply to this method")
         return 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -96,14 +97,17 @@ def process_series(series, window: int, transform: str = "identity",
                            smoothed=log10_series(smoothed))
 
 
+def csv_text(trace) -> str:
+    """Trace records as CSV text with round-trip exact floats (17 significant digits)."""
+    return CSV_HEADER + "\n" + "".join(
+        f"{r.t},{r.i},{r.f:.17g},{r.grad_l1:.17g},{r.grad_l2:.17g},"
+        f"{1 if r.applied else 0},{r.gamma:.17g},{r.d_threshold:.17g}\n" for r in trace)
+
+
 def emit_csv(trace, path) -> None:
-    """Write trace records with round-trip exact floats (17 significant digits)."""
+    """Write :func:`csv_text` of the trace records to ``path``."""
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for r in trace:
-                fh.write(f"{r.t},{r.i},{r.f:.17g},{r.grad_l1:.17g},{r.grad_l2:.17g},"
-                         f"{1 if r.applied else 0},{r.gamma:.17g},{r.d_threshold:.17g}\n")
+        Path(path).write_text(csv_text(trace), newline="")
     except OSError as exc:
         raise OSError(f"writing trace to {path}: {exc}") from exc
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics, streams
-from .problems import FiniteSumProblem, Split
+from .problems import FiniteSumProblem
 from .schedules import Schedule
 
 Array = np.ndarray
@@ -198,17 +198,17 @@ class StepDetail:
     worker_dev: Array | None = None
 
 
-def _epoch_rows(sampler: str, split: Split, t: int, seed: int, batch_size: int,
-                n_iter: int):
+def _epoch_rows(sampler: str, problem: FiniteSumProblem, t: int, seed: int,
+                batch_size: int, n_iter: int):
     """Global row indices of epoch t: entry i names one row per block
     (batch 1) or one batch per block (a (parts, batch) array)."""
-    n0 = split.n0
+    n0, parts = problem.n0, problem.parts
     if sampler == "shuffle":
-        order = np.stack([shuffle(n0, t, seed, worker=m).order for m in range(split.parts)])
+        order = np.stack([shuffle(n0, t, seed, worker=m).order for m in range(parts)])
     else:
         order = np.stack([streams.derive(seed, streams.SAMPLE, m, t).integers(
-            0, n0, size=(n_iter, batch_size)).ravel() for m in range(split.parts)])
-    order += n0 * np.arange(split.parts)[:, None]
+            0, n0, size=(n_iter, batch_size)).ravel() for m in range(parts)])
+    order += n0 * np.arange(parts)[:, None]
     if batch_size == 1:
         return order.T
     return [order[:, k:k + batch_size] for k in range(0, order.shape[1], batch_size)]
@@ -219,19 +219,19 @@ def _mean(rows):
     return rows[0] if len(rows) == 1 else np.mean(rows, axis=0)
 
 
-def _probe(split: Split, point):
+def _probe(problem: FiniteSumProblem, point):
     """Objective, full gradient and its norms at a point, averaged over blocks,
     plus each block's full gradient."""
-    fulls = split.grads(point)
+    fulls = problem.grads(point)
     g = _mean(fulls)
-    return float(_mean(split.values(point))), g, metrics.l1_norm(g), metrics.l2_norm(g), fulls
+    return float(_mean(problem.values(point))), g, metrics.l1_norm(g), metrics.l2_norm(g), fulls
 
 
-def run(split: Split, method: Method, epochs: range, gamma: Schedule,
+def run(problem: FiniteSumProblem, method: Method, epochs: range, gamma: Schedule,
         dthr: Schedule | None = None, *, seed: int, x0, batch_size: int = 1,
         telemetry_stride: int = 1, detail=None, bytes_per_sign: int = 1,
         bytes_per_float: int = 64):
-    """Apply ``method`` from x0 over the given epochs of ``split``.
+    """Apply ``method`` from x0 over the given epochs of ``problem``'s blocks.
 
     Every inner iteration samples rows for each block, forms each worker's
     estimate and direction, aggregates them and steps the shared iterate by
@@ -242,7 +242,7 @@ def run(split: Split, method: Method, epochs: range, gamma: Schedule,
 
     Returns (final iterate, trace records, communication ledger).
     """
-    M, d = split.parts, split.d
+    M, d = problem.parts, problem.d
     direction = method.direction
     anchored = method.estimator == "anchored"
     if len(epochs) < 1:
@@ -270,12 +270,12 @@ def run(split: Split, method: Method, epochs: range, gamma: Schedule,
     applied = True
     last = None
     own = 0 if M == 1 else slice(None)  # detail keeps 1-D rows for one worker
-    n_iter = -(-split.n0 // batch_size)
-    grads, at = split.grads, split.at
+    n_iter = -(-problem.n0 // batch_size)
+    grads, at = problem.grads, problem.at
     px = at(x)
     records = []
     for t in epochs:
-        batches = _epoch_rows(method.sampler, split, t, seed, batch_size, n_iter)
+        batches = _epoch_rows(method.sampler, problem, t, seed, batch_size, n_iter)
         if anchored:
             y, py = x, px
             anchor = grads(py)
@@ -312,7 +312,7 @@ def run(split: Split, method: Method, epochs: range, gamma: Schedule,
                 applied = dist <= cap
             want_record = i % telemetry_stride == 0
             if want_record or detail is not None:
-                f, g, l1, l2, fulls = _probe(split, px)
+                f, g, l1, l2, fulls = _probe(problem, px)
                 if want_record:
                     records.append(TraceRecord(t, i, f, l1, l2, applied, lr, cap))
                 if last is not None:
@@ -332,7 +332,7 @@ def run(split: Split, method: Method, epochs: range, gamma: Schedule,
                     x = x - lr * payload
                 px = at(x)
     if last is not None:
-        last.f_after = float(_mean(split.values(px)))
+        last.f_after = float(_mean(problem.values(px)))
     if aggregate is not None:
         rounds = len(epochs) * n_iter
         ledger.bytes_up = rounds * M * d * bytes_per_sign

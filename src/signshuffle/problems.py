@@ -1,14 +1,16 @@
-"""Finite-sum objectives with exact per-component gradients.
+"""Finite-sum objectives as row-batch oracles.
 
-All objectives have the form f(x) = (1/n) * sum_i f_i(x).  Besides the
-per-component ``component_value`` / ``component_grad`` and the aggregate
-``value`` / ``full_grad``, every problem can ``split`` its rows into equal
-blocks, one per worker; the resulting :class:`Split` is the only view of a
-problem that the update kernel uses.
+All objectives have the form f(x) = (1/n) * sum_i f_i(x), with the rows cut
+into ``parts`` equal blocks of consecutive rows, one per worker; a
+centralized run has one block.  Everything reads a problem through one
+oracle: ``at`` evaluates what every row shares at a point, once per point,
+and ``grads`` and ``values`` read row gradients and block objectives off
+that evaluation.  ``split`` gives the same rows in another number of blocks.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 
 import numpy as np
@@ -19,70 +21,18 @@ Array = np.ndarray
 
 
 class FiniteSumProblem:
-    """Base class for objectives of the form f(x) = mean_i f_i(x)."""
+    """Base class for objectives of the form f(x) = mean_i f_i(x).
+
+    Block m holds rows [m * n0, (m + 1) * n0) of the ``parts`` blocks.
+    """
 
     n: int
     d: int
-
-    def component_value(self, i: int, x: Array) -> float:
-        raise NotImplementedError
-
-    def component_grad(self, i: int, x: Array) -> Array:
-        raise NotImplementedError
-
-    def value(self, x: Array) -> float:
-        """Full objective, the arithmetic mean of the component values."""
-        return float(sum(self.component_value(i, x) for i in range(self.n)) / self.n)
-
-    def full_grad(self, x: Array) -> Array:
-        """Full gradient, the coordinate-wise mean of the component gradients."""
-        g = self.component_grad(0, x).copy()
-        for i in range(1, self.n):
-            g += self.component_grad(i, x)
-        g /= self.n
-        return g
-
-    def rows(self, lo: int, hi: int) -> "FiniteSumProblem":
-        """The finite sum over rows [lo, hi) alone, with local row indices."""
-        raise NotImplementedError
-
-    def split(self, parts: int = 1) -> "Split":
-        """Row-batch oracle over ``parts`` equal blocks of consecutive rows."""
-        raise NotImplementedError
-
-    def _check_index(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise IndexError(f"component index {i} out of range [0, {self.n})")
-
-    def _check_point(self, x: Array) -> None:
-        if x.shape != (self.d,):
-            raise ValueError(f"expected point of shape ({self.d},), got {x.shape}")
-
-
-class Split:
-    """A finite sum cut into equal blocks of consecutive rows, one per worker.
-
-    Block m holds rows [m * n0, (m + 1) * n0); a centralized run is the split
-    into one block.  ``at`` evaluates what every row shares at an iterate,
-    once per point; ``grads`` and ``values`` then read gradients and block
-    objectives off that evaluation.
-    """
-
-    def __init__(self, problem: FiniteSumProblem, parts: int):
-        if parts < 1:
-            raise ValueError(f"parts must be at least 1, got {parts}")
-        if problem.n % parts:
-            raise ValueError(f"{problem.n} rows do not split evenly into {parts} parts")
-        self.problem = problem
-        self.parts = parts
-        self.n0 = problem.n // parts
-        self.d = problem.d
-
-    def part(self, m: int) -> FiniteSumProblem:
-        """Block m as a problem of its own."""
-        return self.problem.rows(m * self.n0, (m + 1) * self.n0)
+    parts: int
+    n0: int
 
     def at(self, x: Array):
+        """Evaluate a point of shape (d,), or a stack of points of shape (P, d)."""
         raise NotImplementedError
 
     def grads(self, point, rows: Array | None = None) -> Array:
@@ -90,26 +40,50 @@ class Split:
 
         ``rows`` holds global row indices: 1-D for one component per entry,
         2-D for one batch per entry.  None gives each block's full gradient.
+        At a stack of points, a single row gives its gradient at every point,
+        shape (P, d).
         """
         raise NotImplementedError
 
     def values(self, point):
-        """Each block's objective at an evaluated point, one per block."""
+        """Each block's objective at an evaluated single point, one per block."""
         raise NotImplementedError
 
+    def split(self, parts: int = 1) -> "FiniteSumProblem":
+        """The same rows in ``parts`` equal blocks."""
+        if parts < 1:
+            raise ValueError(f"parts must be at least 1, got {parts}")
+        if self.n % parts:
+            raise ValueError(f"{self.n} rows do not split evenly into {parts} parts")
+        if parts == self.parts:
+            return self
+        view = copy.copy(self)
+        view._cut(parts)
+        return view
 
-def _geometry(x: Array):
-    """What every chained-bowl component shares at x: the gradients of the
-    gap and base terms and their squared norms."""
-    head = x[:-1]
-    gap = x[1:] - head * head
-    miss = 1.0 - head
-    grad_gap = np.zeros(x.shape)
-    grad_gap[:-1] = -4.0 * head * gap
-    grad_gap[1:] += 2.0 * gap
-    grad_base = np.zeros(x.shape)
-    grad_base[:-1] = -2.0 * miss
-    return grad_gap, grad_base, float(gap @ gap), float(miss @ miss)
+    def _cut(self, parts: int) -> None:
+        """Lay the rows out in ``parts`` blocks; families add what a block shares."""
+        self.parts = parts
+        self.n0 = self.n // parts
+
+    def component_grad(self, i: int, x: Array) -> Array:
+        """Gradient of row i alone."""
+        self._check_index(i)
+        return self.grads(self.at(x), np.array([i]))[0]
+
+    def full_grad(self, x: Array) -> Array:
+        """Gradient of the whole finite sum, the mean over all rows."""
+        whole = self.split()
+        return whole.grads(whole.at(x))[0]
+
+    def _check_index(self, i: int) -> None:
+        if not 0 <= i < self.n:
+            raise IndexError(f"component index {i} out of range [0, {self.n})")
+
+    def _check_point(self, x: Array) -> None:
+        if x.ndim not in (1, 2) or x.shape[-1] != self.d:
+            raise ValueError(f"expected a point of shape ({self.d},) or a stack of "
+                             f"shape (P, {self.d}), got {x.shape}")
 
 
 class RosenbrockSum(FiniteSumProblem):
@@ -119,6 +93,9 @@ class RosenbrockSum(FiniteSumProblem):
     per-component curvature scale b_i.  Every component vanishes with zero
     gradient at the all-ones vector, so the full objective has a common
     global minimizer while the components disagree everywhere else.
+
+    Every gradient is scale * grad_gap + grad_base over what all rows share
+    at a point; a batch or a block uses its mean scale.
     """
 
     def __init__(self, b, d: int, u_max: float, seed: int = 0):
@@ -137,56 +114,26 @@ class RosenbrockSum(FiniteSumProblem):
         self.d = int(d)
         self.u_max = float(u_max)
         self.seed = int(seed)
-        self._b_mean = float(b.mean())
+        self._cut(1)
 
-    def component_value(self, i: int, x: Array) -> float:
-        self._check_index(i)
-        self._check_point(x)
-        _, _, gap_sq, base_sq = _geometry(x)
-        return self.b[i] * gap_sq + base_sq
-
-    def component_grad(self, i: int, x: Array) -> Array:
-        self._check_index(i)
-        grad_gap, grad_base, _, _ = _geometry(x)
-        return self.b[i] * grad_gap + grad_base
-
-    def value(self, x: Array) -> float:
-        self._check_point(x)
-        _, _, gap_sq, base_sq = _geometry(x)
-        return self._b_mean * gap_sq + base_sq
-
-    def full_grad(self, x: Array) -> Array:
-        grad_gap, grad_base, _, _ = _geometry(x)
-        return self._b_mean * grad_gap + grad_base
-
-    def batch_grad(self, indices, x: Array) -> Array:
-        """Mean gradient over a batch of component indices."""
-        indices = np.asarray(indices)
-        if indices.size == 0:
-            raise ValueError("batch_grad: empty index batch")
-        grad_gap, grad_base, _, _ = _geometry(x)
-        return float(self.b[indices].mean()) * grad_gap + grad_base
-
-    def rows(self, lo: int, hi: int) -> "RosenbrockSum":
-        return RosenbrockSum(self.b[lo:hi], self.d, self.u_max, self.seed)
-
-    def split(self, parts: int = 1) -> "_RosenbrockSplit":
-        return _RosenbrockSplit(self, parts)
-
-
-class _RosenbrockSplit(Split):
-    """Every gradient is scale * grad_gap + grad_base with the point's shared
-    geometry; a block's full gradient and value use its mean scale."""
-
-    def __init__(self, problem: RosenbrockSum, parts: int):
-        super().__init__(problem, parts)
+    def _cut(self, parts: int) -> None:
+        super()._cut(parts)
         n0 = self.n0
-        self.b = problem.b
         self.block_b = [float(self.b[m * n0:(m + 1) * n0].mean()) for m in range(parts)]
         self._block_scales = np.array(self.block_b)[:, None]
 
     def at(self, x: Array):
-        return _geometry(x)
+        """The gradients of the gap and base terms, and the terms themselves."""
+        self._check_point(x)
+        head = x[..., :-1]
+        gap = x[..., 1:] - head * head
+        miss = 1.0 - head
+        grad_gap = np.zeros(x.shape)
+        grad_gap[..., :-1] = -4.0 * head * gap
+        grad_gap[..., 1:] += 2.0 * gap
+        grad_base = np.zeros(x.shape)
+        grad_base[..., :-1] = -2.0 * miss
+        return grad_gap, grad_base, gap, miss
 
     def grads(self, point, rows: Array | None = None) -> Array:
         grad_gap, grad_base, _, _ = point
@@ -199,8 +146,15 @@ class _RosenbrockSplit(Split):
         return scale * grad_gap + grad_base
 
     def values(self, point) -> list:
-        _, _, gap_sq, base_sq = point
+        _, _, gap, miss = point
+        gap_sq, base_sq = float(gap @ gap), float(miss @ miss)
         return [b * gap_sq + base_sq for b in self.block_b]
+
+    def component_value(self, i: int, x: Array) -> float:
+        """Row i's objective: a block value with row i's own scale."""
+        self._check_index(i)
+        _, _, gap, miss = self.at(x)
+        return float(self.b[i]) * float(gap @ gap) + float(miss @ miss)
 
 
 def make_rosenbrock(n: int, d: int, u_max: float, seed: int) -> RosenbrockSum:
@@ -260,49 +214,37 @@ class LogisticProblem(FiniteSumProblem):
         self.n = int(X.shape[0])
         self.n_features = int(X.shape[1])
         self.d = self.n_features * C
+        self._cut(1)
 
-    def _weights(self, x: Array) -> Array:
+    def _cut(self, parts: int) -> None:
+        super()._cut(parts)
+        self.blocks = [np.arange(m * self.n0, (m + 1) * self.n0) for m in range(parts)]
+
+    def at(self, x: Array) -> Array:
+        """The weight matrix, or a stack of them."""
         self._check_point(x)
-        return x.reshape(self.n_features, self.num_classes)
+        return x.reshape(x.shape[:-1] + (self.n_features, self.num_classes))
 
-    def component_value(self, i: int, x: Array) -> float:
-        self._check_index(i)
-        z = self.features[i] @ self._weights(x)
-        z = z - z.max()
-        return float(np.log(np.exp(z).sum()) - z[self.labels[i]])
+    def grads(self, W: Array, rows: Array | None = None) -> Array:
+        if rows is None:
+            return np.array([self._mean_grad(block, W) for block in self.blocks])
+        if rows.ndim == 1:
+            return np.concatenate([self._row_grad(i, W) for i in rows])
+        return np.array([self._mean_grad(batch, W) for batch in rows])
 
-    def component_grad(self, i: int, x: Array) -> Array:
-        self._check_index(i)
-        return self._row_grad(i, self._weights(x))
-
-    def value(self, x: Array) -> float:
-        return self._mean_loss(0, self.n, self._weights(x))
-
-    def full_grad(self, x: Array) -> Array:
-        return self._mean_grad(np.arange(self.n), self._weights(x))
-
-    def batch_grad(self, indices, x: Array) -> Array:
-        """Mean gradient over a batch of component indices."""
-        indices = np.asarray(indices)
-        if indices.size == 0:
-            raise ValueError("batch_grad: empty index batch")
-        return self._mean_grad(indices, self._weights(x))
-
-    def rows(self, lo: int, hi: int) -> "LogisticProblem":
-        return LogisticProblem(self.features[lo:hi], self.labels[lo:hi], self.num_classes)
-
-    def split(self, parts: int = 1) -> "_LogisticSplit":
-        return _LogisticSplit(self, parts)
+    def values(self, W: Array) -> Array:
+        return np.array([self._mean_loss(block, W) for block in self.blocks])
 
     # Single rows use the 1-D product features[i] @ W and batches the matrix
     # product; the two round differently, so each path keeps its own form.
     def _row_grad(self, i, W: Array) -> Array:
+        """Row i's gradient at W, or at each matrix of a stack: shape (P, d)."""
         z = self.features[i] @ W
-        z = z - z.max()
+        z = z - z.max(axis=-1, keepdims=True)
         p = np.exp(z)
-        p /= p.sum()
-        p[self.labels[i]] -= 1.0
-        return np.outer(self.features[i], p).ravel()
+        p /= p.sum(axis=-1, keepdims=True)
+        p[..., self.labels[i]] -= 1.0
+        return (self.features[i][:, None] * p[..., None, :]).reshape(-1, self.d)
 
     def _mean_grad(self, rows: Array, W: Array) -> Array:
         X = self.features[rows]
@@ -313,35 +255,11 @@ class LogisticProblem(FiniteSumProblem):
         P[np.arange(rows.size), self.labels[rows]] -= 1.0
         return (X.T @ P).ravel() / rows.size
 
-    def _mean_loss(self, lo: int, hi: int, W: Array) -> float:
-        Z = self.features[lo:hi] @ W
+    def _mean_loss(self, rows: Array, W: Array) -> float:
+        Z = self.features[rows] @ W
         Z = Z - Z.max(axis=1, keepdims=True)
         lse = np.log(np.exp(Z).sum(axis=1))
-        picked = Z[np.arange(hi - lo), self.labels[lo:hi]]
-        return float((lse - picked).mean())
-
-
-class _LogisticSplit(Split):
-    """Evaluating a point only reshapes it into the weight matrix."""
-
-    def __init__(self, problem: LogisticProblem, parts: int):
-        super().__init__(problem, parts)
-        self.blocks = [np.arange(m * self.n0, (m + 1) * self.n0) for m in range(parts)]
-
-    def at(self, x: Array) -> Array:
-        return self.problem._weights(x)
-
-    def grads(self, W: Array, rows: Array | None = None) -> Array:
-        p = self.problem
-        if rows is None:
-            return np.array([p._mean_grad(block, W) for block in self.blocks])
-        if rows.ndim == 1:
-            return np.array([p._row_grad(i, W) for i in rows])
-        return np.array([p._mean_grad(batch, W) for batch in rows])
-
-    def values(self, W: Array) -> Array:
-        return np.array([self.problem._mean_loss(m * self.n0, (m + 1) * self.n0, W)
-                         for m in range(self.parts)])
+        return float((lse - Z[np.arange(rows.size), self.labels[rows]]).mean())
 
 
 def load_logistic_csv(path, has_header: bool = False) -> LogisticProblem:
@@ -385,8 +303,9 @@ def finite_diff_check(problem: FiniteSumProblem, x: Array, h: float,
 
     Compares component partial derivatives at x over (component, coordinate)
     pairs; all pairs when ``samples`` is None, otherwise a seeded random
-    subset.  The error is measured relative to max(1, |analytic|) so that
-    near-zero partials are judged on absolute terms.
+    subset.  Component values come from the rows split one per block.  The
+    error is measured relative to max(1, |analytic|) so that near-zero
+    partials are judged on absolute terms.
     """
     if not h > 0:
         raise ValueError(f"h must be positive, got {h}")
@@ -399,17 +318,17 @@ def finite_diff_check(problem: FiniteSumProblem, x: Array, h: float,
         rng = np.random.default_rng(seed)
         pairs = [(int(rng.integers(problem.n)), int(rng.integers(problem.d)))
                  for _ in range(samples)]
+    grads = problem.grads(problem.at(x), np.arange(problem.n))
+    single = problem.split(problem.n)
+    slopes: dict[int, Array] = {}
     worst = 0.0
-    grads: dict[int, Array] = {}
     for i, j in pairs:
-        if i not in grads:
-            grads[i] = problem.component_grad(i, x)
-        lo = x.copy()
-        hi = x.copy()
-        lo[j] -= h
-        hi[j] += h
-        fd = (problem.component_value(i, hi) - problem.component_value(i, lo)) / (2.0 * h)
-        err = abs(fd - grads[i][j]) / max(1.0, abs(grads[i][j]))
+        if j not in slopes:
+            step = np.zeros(problem.d)
+            step[j] = h
+            hi, lo = single.values(single.at(x + step)), single.values(single.at(x - step))
+            slopes[j] = (np.asarray(hi) - np.asarray(lo)) / (2.0 * h)
+        err = abs(slopes[j][i] - grads[i, j]) / max(1.0, abs(grads[i, j]))
         if err > worst:
             worst = err
     return worst
@@ -417,50 +336,56 @@ def finite_diff_check(problem: FiniteSumProblem, x: Array, h: float,
 
 def estimate_coordinate_smoothness(problem: FiniteSumProblem, region, samples: int,
                                    seed: int = 0, safety: float = 1.5,
-                                   corner_probes: int = 4) -> Array:
+                                   corner_probes: int = 4, block: int = 0) -> Array:
     """Estimate per-coordinate gradient Lipschitz constants over a box.
 
-    Probes sampled components at sampled points with single-coordinate
-    perturbations (direct curvature) and with random sign-pattern
-    displacements measured in the sup norm (cross-coordinate coupling).
-    The per-coordinate maximum ratio |partial_j grad difference| / step is
-    scaled by ``safety``.  The sup-norm probes matter: for coupled
+    Probes sampled rows of block ``block`` at sampled points with
+    single-coordinate perturbations (direct curvature) and with random
+    sign-pattern displacements measured in the sup norm (cross-coordinate
+    coupling).  The per-coordinate maximum ratio |partial_j grad difference|
+    / step is scaled by ``safety``.  The sup-norm probes matter: for coupled
     objectives the change in one partial under a full-vector displacement
     can exceed what any single-coordinate probe sees, and downstream
     trajectory checks bound deviations by the sup norm of the displacement.
 
     ``region`` is a (lo, hi) pair broadcastable to the problem dimension.
     Deterministic for a fixed seed; a single sample is a valid but noisy
-    estimate.
+    estimate.  Each sample's probe points are evaluated in one oracle call.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    lo = np.broadcast_to(np.asarray(region[0], dtype=float), (problem.d,)).copy()
-    hi = np.broadcast_to(np.asarray(region[1], dtype=float), (problem.d,)).copy()
+    if not 0 <= block < problem.parts:
+        raise ValueError(f"block must lie in [0, {problem.parts}), got {block}")
+    d = problem.d
+    lo = np.broadcast_to(np.asarray(region[0], dtype=float), (d,)).copy()
+    hi = np.broadcast_to(np.asarray(region[1], dtype=float), (d,)).copy()
     if not (hi > lo).all():
         raise ValueError("region is empty: need hi > lo in every coordinate")
     width = hi - lo
     rng = np.random.default_rng(seed)
-    best = np.zeros(problem.d)
+    best = np.zeros(d)
+    # Row 0 is the sampled point, row 1 + j its probe along coordinate j, the
+    # last rows its sign-pattern probes.
+    points = np.empty((1 + d + corner_probes, d))
+    coords = np.arange(d)
     for _ in range(samples):
-        i = int(rng.integers(problem.n))
+        row = np.array([block * problem.n0 + int(rng.integers(problem.n0))])
         x = rng.uniform(lo, hi)
-        g0 = problem.component_grad(i, x)
-        for j in range(problem.d):
+        points[:] = x
+        for j in range(d):
             step = 0.5 * width[j] * 10.0 ** rng.uniform(-3.0, 0.0)
             direction = -1.0 if x[j] - lo[j] >= step else 1.0
-            y = x.copy()
-            y[j] += direction * step
-            gj = problem.component_grad(i, y)[j]
-            ratio = abs(gj - g0[j]) / abs(y[j] - x[j])
-            if ratio > best[j]:
-                best[j] = ratio
-        for _ in range(corner_probes):
-            pattern = rng.choice((-1.0, 1.0), size=problem.d)
-            y = np.clip(x + pattern * 0.5 * width * 10.0 ** rng.uniform(-3.0, 0.0), lo, hi)
-            denom = float(np.abs(y - x).max())
-            if denom == 0.0:
-                continue
-            g1 = problem.component_grad(i, y)
-            np.maximum(best, np.abs(g1 - g0) / denom, out=best)
+            points[1 + j, j] += direction * step
+        for k in range(corner_probes):
+            pattern = rng.choice((-1.0, 1.0), size=d)
+            points[1 + d + k] = np.clip(
+                x + pattern * 0.5 * width * 10.0 ** rng.uniform(-3.0, 0.0), lo, hi)
+        g = problem.grads(problem.at(points), row)
+        g0 = g[0]
+        ratio = np.abs(g[1 + coords, coords] - g0) / np.abs(points[1 + coords, coords] - x)
+        best = np.where(ratio > best, ratio, best)
+        denom = np.abs(points[1 + d:] - x).max(axis=1)
+        moved = denom != 0.0
+        corner = np.abs(g[1 + d:][moved] - g0) / denom[moved, None]
+        np.maximum(best, corner.max(axis=0, initial=0.0), out=best)
     return safety * best

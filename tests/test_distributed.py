@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from closed_forms import bowl_grad, bowl_value
 
 from signshuffle import (
     Constant,
@@ -143,11 +144,11 @@ class TestSingleWorkerReduction:
 
 
 class TestFastPaths:
-    """The kernel's shared-geometry row oracle against per-worker problem calls."""
+    """The kernel's shared-geometry row oracle against closed-form replays."""
 
     def test_fast_and_generic_agree_bitwise(self):
         # Manual replay of both anchored methods with each worker's own
-        # problem: permutation, anchor, estimate, momentum, average, freeze.
+        # scales: permutation, anchor, estimate, momentum, average, freeze.
         problems = worker_problems(3)
         for beta in (None, 0.7):
             method = (Method("shuffle", "anchored", "sign", "sign_average") if beta is None
@@ -159,11 +160,12 @@ class TestFastPaths:
             for t in range(3):
                 orders = [shuffle(4, t, MASTER, worker=w).order for w in range(3)]
                 y = x
-                anchors = [p.full_grad(y) for p in problems]
+                anchors = [bowl_grad(float(p.b.mean()), y) for p in problems]
                 mom = [np.zeros(3)] * 3
                 for i in range(4):
-                    f_seen.append(float(np.array([p.value(x) for p in problems]).mean()))
-                    est = [(p.component_grad(int(o[i]), x) - p.component_grad(int(o[i]), y)) + a
+                    f_seen.append(float(np.array([bowl_value(float(p.b.mean()), x)
+                                                  for p in problems]).mean()))
+                    est = [(bowl_grad(p.b[o[i]], x) - bowl_grad(p.b[o[i]], y)) + a
                            for p, o, a in zip(problems, orders, anchors)]
                     if beta is None:
                         pushed = [sign(e) for e in est]
@@ -184,7 +186,7 @@ class TestFastPaths:
             draws = [streams.derive(MASTER, streams.SAMPLE, w, t).integers(0, 4, size=(2, 2))
                      for w in range(3)]
             for i in range(2):
-                signs = np.stack([sign(problems[w].batch_grad(draws[w][i], x))
+                signs = np.stack([sign(bowl_grad(float(problems[w].b[draws[w][i]].mean()), x))
                                   for w in range(3)])
                 x = x - 0.05 * sign(signs.sum(axis=0))
         np.testing.assert_array_equal(x_run, x)
@@ -209,16 +211,15 @@ class TestReplicas:
 class TestWorkerConstruction:
     def test_distinct_local_data(self):
         workers = workers_of(4, seed=12)
-        assert (workers.parts, workers.n0, workers.problem.n) == (4, 4, 16)
-        blocks = [workers.part(m).b for m in range(4)]
+        assert (workers.parts, workers.n0, workers.n) == (4, 4, 16)
+        blocks = [workers.b[4 * m:4 * (m + 1)] for m in range(4)]
         for a in range(4):
             np.testing.assert_array_equal(blocks[a], worker_problems(4, seed=12)[a].b)
             for b in range(a + 1, 4):
                 assert not np.array_equal(blocks[a], blocks[b])
 
     def test_deterministic(self):
-        np.testing.assert_array_equal(workers_of(3, seed=12).problem.b,
-                                      workers_of(3, seed=12).problem.b)
+        np.testing.assert_array_equal(workers_of(3, seed=12).b, workers_of(3, seed=12).b)
 
 
 class TestMajorityVoteRun:
@@ -231,7 +232,7 @@ class TestMajorityVoteRun:
             draws = [streams.derive(MASTER, streams.SAMPLE, w, t).integers(0, n0, size=(n0, 1))
                      for w in range(m)]
             for i in range(n0):
-                signs = np.stack([sign(problems[w].component_grad(int(draws[w][i, 0]), x))
+                signs = np.stack([sign(bowl_grad(problems[w].b[draws[w][i, 0]], x))
                                   for w in range(m)])
                 x = x - 0.1 * sign(signs.sum(axis=0))
         np.testing.assert_array_equal(x_run, x)
@@ -251,7 +252,7 @@ class TestMajorityVoteRun:
                      for w in range(m)]
             for i in range(n0):
                 for w in range(m):
-                    g = problems[w].component_grad(int(draws[w][i, 0]), x)
+                    g = bowl_grad(problems[w].b[draws[w][i, 0]], x)
                     mom[w] = beta * mom[w] + (1.0 - beta) * g
                 votes = np.stack([sign(mom[w]) for w in range(m)])
                 x = x - 0.05 * sign(votes.sum(axis=0))

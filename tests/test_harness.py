@@ -77,6 +77,58 @@ class TestConfig:
         assert config.workers == 1
 
 
+# One wrong-typed JSON value for each annotation kind of ExperimentConfig.
+WRONG_TYPES = [
+    ("problem", 5),
+    ("epochs", "2"),
+    ("epochs", True),
+    ("u_max", "10"),
+    ("lemma_checks", "yes"),
+    ("csv_path", 3),
+    ("problem_seed", 1.5),
+    ("algorithms", "signsgd"),
+    ("lr_grid", [0.1, "x"]),
+    ("seeds", 3),
+    ("x0", "0"),
+    ("x0", [0.0, False, 0.0]),
+]
+
+
+class TestConfigTypes:
+    def test_every_annotation_kind_is_covered(self):
+        assert ({hz._FIELD_KINDS[name] for name, _ in WRONG_TYPES}
+                == set(hz._FIELD_KINDS.values()))
+
+    @pytest.mark.parametrize("name,value", WRONG_TYPES)
+    def test_python_entry_points(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name}: expected"):
+            hz.validate_config(hz.config_from_dict({name: value}))
+        with pytest.raises(ConfigError, match=f"^{name}: expected"):
+            build_config(overrides={name: value})
+
+    @pytest.mark.parametrize("name,value", WRONG_TYPES)
+    def test_run_config_file_is_exit_2(self, tmp_path, capsys, name, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({name: value}))
+        assert hz.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {name}: expected")
+
+    @pytest.mark.parametrize("name,value", WRONG_TYPES)
+    def test_check_summary_is_exit_2(self, tmp_path, capsys, name, value):
+        trace = tmp_path / "signrr_1_lr1e-02.csv"
+        trace.write_text("t\n")
+        (tmp_path / "summary.json").write_text(
+            json.dumps({"config": {name: value}, "cells": []}))
+        assert hz.run_check(str(trace)) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {name}: expected")
+
+    def test_ints_pass_as_floats(self, tmp_path):
+        config = build_config(None, None, dict(u_max=10, d0=2, lr_grid=[1, 0.5],
+                                               x0=[0, 1, 2], d=3), None)
+        assert (config.u_max, config.d0, config.lr_grid) == (10, 2, (1, 0.5))
+        assert config.x0 == (0.0, 1.0, 2.0)
+
+
 class TestFlagParsing:
     def test_kinds(self):
         assert hz._parse_flag("epochs", "12") == 12
@@ -193,11 +245,11 @@ class TestRunExperiment:
         real = hz.run_cell
         calls = {"n": 0}
 
-        def explode(cfg, cell):
+        def explode(cfg, cell, data=None):
             calls["n"] += 1
             if calls["n"] == 3:
                 raise RuntimeError("disk on fire")
-            return real(cfg, cell)
+            return real(cfg, cell, data)
 
         monkeypatch.setattr(hz, "run_cell", explode)
         with pytest.raises(RuntimeError):
@@ -426,6 +478,25 @@ class TestLogisticPresets:
             assert row["bytes_down"] == (64 * up if row["algo"].startswith("dist_") else up)
         joined = "\n".join(summary["lemmas"])
         assert "dist_signrvr vr-deviation" in joined
+
+    def test_rewritten_csv_is_read_afresh(self, tmp_path):
+        # Every sweep reads its CSV when it starts: a file rewritten in place
+        # between two sweeps of one process gives what a fresh file gives.
+        from conftest import write_logistic_csv
+
+        def sweep(csv, out):
+            hz.run_experiment(logistic_config("logistic_central", csv, tmp_path / out,
+                                              algorithms=("signsgd",), lr_grid=(1e-2,),
+                                              epochs=1, seeds=(1,)))
+            return _outputs(tmp_path / out)
+
+        csv = write_logistic_csv(tmp_path / "rows.csv", seed=0)
+        first = sweep(csv, "first")
+        write_logistic_csv(csv, seed=1)
+        rewritten = sweep(csv, "rewritten")
+        assert rewritten == sweep(write_logistic_csv(tmp_path / "fresh.csv", seed=1), "fresh")
+        assert rewritten != first
+        assert hz.run_check(str(tmp_path / "rewritten" / "signsgd_1_lr1e-02.csv")) == 0
 
     def test_process_pool_matches_serial_run(self, logistic_csv, tmp_path):
         for preset in ("logistic_central", "logistic_dist"):

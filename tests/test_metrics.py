@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from signshuffle import (
     CSV_HEADER,
     TraceRecord,
+    csv_text,
     emit_csv,
     l1_norm,
     l2_norm,
@@ -117,6 +118,16 @@ def test_csv_emit_is_byte_deterministic(tmp_path):
     emit_csv(sample_trace(), b)
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().splitlines()[0] == CSV_HEADER
+
+
+def test_emitted_file_is_the_csv_text(tmp_path):
+    path = tmp_path / "trace.csv"
+    emit_csv(sample_trace(), path)
+    assert path.read_bytes() == csv_text(sample_trace()).encode()
+    assert csv_text([]) == CSV_HEADER + "\n"
+    assert csv_text(sample_trace()).splitlines()[2] == (
+        "0,1,0.30000000000000004,0.33333333333333331,3.1415926535897931,"
+        "0,0.050000000000000003,0.5")
 
 
 def test_csv_read_rejects_bad_input(tmp_path):
