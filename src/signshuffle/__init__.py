@@ -10,11 +10,11 @@ from .distributed import (dist_signrvm_run, dist_signrvr_run,
 from .harness import (ALGORITHMS, Cell, ConfigError, ExperimentConfig,
                       apply_scale, build_config, grid_cells, main, preset,
                       run_cell, run_experiment, select_best, validate_config)
-from .metrics import (CSV_HEADER, ProcessedSeries, csv_text, emit_csv, l1_norm,
-                      l2_norm, log10_series, moving_average, process_series,
-                      read_trace_csv)
+from .metrics import (CSV_HEADER, ProcessedSeries, Trace, TraceRecord, csv_text,
+                      emit_csv, l1_norm, l2_norm, log10_series, moving_average,
+                      process_series, read_trace_csv)
 from .optimizers import (Aggregate, CommLedger, Method, Permutation,
-                         SignRVMState, SignRVRState, StepDetail, TraceRecord,
+                         SignRVMState, SignRVRState, StepDetail,
                          bias_correct, majority_vote, run, shuffle, sign,
                          sign_average, signrvm_epoch, signrvr_epoch)
 from .problems import (FiniteSumProblem, LogisticProblem, RosenbrockSum,

@@ -39,8 +39,8 @@ def dist_signrvr_run(workers: FiniteSumProblem, epochs: int, gamma: Schedule,
     Every worker walks its own permutation of its rows, pushes the sign of
     its semi-stochastic estimate and applies the aggregate while the iterate
     stays inside the freeze threshold.  Keyword arguments are those of
-    :func:`~signshuffle.optimizers.run`.  Returns (final iterate, trace
-    records, communication ledger).
+    :func:`~signshuffle.optimizers.run`.  Returns (final iterate, trace,
+    communication ledger).
     """
     return run(workers, Method("shuffle", "anchored", "sign", aggregation), range(epochs),
                gamma, dthr, seed=master_seed, x0=x0, **kw)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import numbers
@@ -378,10 +379,14 @@ def _problem_seed(config: ExperimentConfig, seed: int) -> int:
 
 def _load_data(config: ExperimentConfig) -> LogisticProblem | None:
     """The rows of a logistic sweep, read once per sweep or check; None for
-    Rosenbrock, whose rows each cell draws from its seed."""
+    Rosenbrock, whose rows each cell draws from its seed.  A CSV that does
+    not parse is a ConfigError."""
     if config.problem != "logistic":
         return None
-    return load_logistic_csv(config.csv_path, has_header=config.csv_has_header)
+    try:
+        return load_logistic_csv(config.csv_path, has_header=config.csv_has_header)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"csv_path: {exc}") from exc
 
 
 def _check_partition(config: ExperimentConfig, data: LogisticProblem | None) -> None:
@@ -415,36 +420,35 @@ def _x0_vector(config: ExperimentConfig, d: int) -> np.ndarray:
     return np.full(d, float(config.x0))
 
 
-def _run(config: ExperimentConfig, cell: Cell, data: LogisticProblem | None,
-         detail=None):
-    """Run one cell through the update kernel: (trace records, ledger, problem).
+def _run(config: ExperimentConfig, cells, data: LogisticProblem | None, detail=None):
+    """Run cells of one (algorithm, seed) as the rows of one kernel call.
 
-    Divergence surfaces as FloatingPointError or OverflowError.
+    Returns (one trace per cell, ledger, problem).  A cell that diverged has
+    a trace with no records that names the error.
     """
-    spec = ALGORITHMS[cell.algo]
-    shifted = _epoch_shift(config, cell.algo)
+    spec = ALGORITHMS[cells[0].algo]
+    shifted = _epoch_shift(config, spec.name)
     method = Method(spec.sampler, spec.estimator, spec.direction,
                     spec.aggregator or config.aggregation,
-                    beta=0.9 if cell.beta is None else cell.beta)
+                    beta=tuple(0.9 if cell.beta is None else cell.beta for cell in cells))
     with np.errstate(all="ignore"):
-        problem = _problem(config, spec, cell.seed, data)
-        _, records, ledger = run(
+        problem = _problem(config, spec, cells[0].seed, data)
+        _, traces, ledger = run(
             problem, method, range(config.epochs),
-            _schedule(config.gamma_kind, cell.lr, shifted),
+            _schedule(config.gamma_kind, np.array([cell.lr for cell in cells]), shifted),
             _schedule(config.dthr_kind, config.d0, shifted),
-            seed=cell.seed, x0=_x0_vector(config, problem.d),
+            seed=cells[0].seed, x0=np.tile(_x0_vector(config, problem.d), (len(cells), 1)),
             batch_size=config.batch_size, telemetry_stride=config.telemetry_stride,
             detail=detail, bytes_per_sign=config.bytes_per_sign,
             bytes_per_float=config.bytes_per_float)
-    return records, ledger, problem
+    return traces, ledger, problem
 
 
-def _final_metric(config: ExperimentConfig, records) -> float:
-    if not records:
+def _final_metric(config: ExperimentConfig, trace) -> float:
+    if not len(trace):
         raise ValueError("empty trace")
-    attr = config.summary_metric
-    series = [getattr(r, attr) for r in records]
-    processed = metrics.process_series(series, config.smoothing_window, "log10",
+    processed = metrics.process_series(getattr(trace, config.summary_metric),
+                                       config.smoothing_window, "log10",
                                        smooth_after_transform=config.smooth_after_log)
     final = float(processed.smoothed[-1])
     if not math.isfinite(final):
@@ -452,42 +456,41 @@ def _final_metric(config: ExperimentConfig, records) -> float:
     return final
 
 
-def run_cell(config: ExperimentConfig, cell: Cell,
-             data: LogisticProblem | None = None) -> dict:
-    """Execute one cell, write its trace CSV, and summarize it.
+def run_cell(config: ExperimentConfig, cells, data: LogisticProblem | None = None) -> list:
+    """Execute cells of one (algorithm, seed) as the rows of one kernel call,
+    write each cell's trace CSV, and summarize each cell, in order.
 
-    ``data`` is the sweep's loaded logistic rows; without it a logistic cell
+    ``data`` is the sweep's loaded logistic rows; without it a logistic group
     reads ``config.csv_path`` itself.
 
-    Divergence (overflow to NaN, metric leaving the positive range) is not
-    an error: the cell reports an infinite final metric so grid selection
-    skips past it.  A cell that diverges inside the kernel writes a
-    header-only trace and reports no traffic; a cell whose final metric
-    fails keeps its full trace.
+    Divergence (a NaN entry, metric leaving the positive range) is not an
+    error: the cell reports an infinite final metric so grid selection skips
+    past it, and the other cells of the group run on.  A cell that diverges
+    inside the kernel writes a header-only trace and reports no traffic; a
+    cell whose final metric fails keeps its full trace.
     """
-    row = {"algo": cell.algo, "seed": cell.seed, "lr": cell.lr, "beta": cell.beta,
-           "csv": cell_filename(cell), "final": math.inf, "diverged": False,
-           "error": "", "bytes_up": 0, "bytes_down": 0}
-    records = []
     if data is None:
         data = _load_data(config)
-    try:
-        records, ledger, _ = _run(config, cell, data)
+    traces, ledger, _ = _run(config, cells, data)
+    rows = []
+    for cell, trace in zip(cells, traces):
+        row = {"algo": cell.algo, "seed": cell.seed, "lr": cell.lr, "beta": cell.beta,
+               "csv": cell_filename(cell), "final": math.inf, "diverged": False,
+               "error": "", "bytes_up": 0, "bytes_down": 0}
+        rows.append(row)
+        metrics.emit_csv(trace, Path(config.out_dir) / row["csv"])
+        if trace.error:
+            row["diverged"] = True
+            row["error"] = f"diverged: {trace.error}"
+            continue
         row["bytes_up"] = ledger.bytes_up
         row["bytes_down"] = ledger.bytes_down
-    except (FloatingPointError, OverflowError) as exc:
-        row["diverged"] = True
-        row["error"] = f"diverged: {exc}"
-    metrics.emit_csv(records, Path(config.out_dir) / row["csv"])
-    if row["diverged"]:
-        return row
-    try:
-        row["final"] = _final_metric(config, records)
-    except ValueError as exc:
-        row["diverged"] = True
-        row["error"] = f"metric failed: {exc}"
-        row["final"] = math.inf
-    return row
+        try:
+            row["final"] = _final_metric(config, trace)
+        except ValueError as exc:
+            row["diverged"] = True
+            row["error"] = f"metric failed: {exc}"
+    return rows
 
 
 def _sort_key(row):
@@ -544,7 +547,7 @@ def _lemma_section(config: ExperimentConfig, rows, data: LogisticProblem | None)
             continue
         cell = Cell(algo, row["seed"], row["lr"], row["beta"])
         detail = []
-        _, _, problem = _run(config, cell, data, detail)
+        _, _, problem = _run(config, [cell], data, detail)
         reports.extend(_reports_for_detail(config, cell, detail, problem))
     reports.extend(theory.markov_suite())
     return reports
@@ -558,13 +561,17 @@ def run_experiment(config: ExperimentConfig) -> dict:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = grid_cells(config)
+    # grid_cells lists the cells of each (algorithm, seed) next to each other.
+    groups = [list(group) for _, group in
+              itertools.groupby(cells, key=lambda cell: (cell.algo, cell.seed))]
     try:
         if config.jobs > 1:
             with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                rows = list(pool.map(run_cell, [config] * len(cells), cells,
-                                     [data] * len(cells)))
+                done = list(pool.map(run_cell, [config] * len(groups), groups,
+                                     [data] * len(groups)))
         else:
-            rows = [run_cell(config, c, data) for c in cells]
+            done = [run_cell(config, group, data) for group in groups]
+        rows = [row for group_rows in done for row in group_rows]
         lemma_reports = _lemma_section(config, rows, data) if config.lemma_checks else []
         best = select_best(rows)
         summary = {
@@ -585,6 +592,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
             (out_dir / cell_filename(cell)).unlink(missing_ok=True)
         (out_dir / "summary.json").unlink(missing_ok=True)
         raise
+
+
+# The JSON types a stored cell row's grid coordinates must have.
+_CELL_KINDS = (("seed", "int"), ("lr", "float"), ("beta", "float | None"))
 
 
 def _stored_cell(summary_path: Path, name: str):
@@ -611,7 +622,12 @@ def _stored_cell(summary_path: Path, name: str):
             continue
         if row["algo"] not in ALGORITHMS:
             raise ConfigError(f"{summary_path}: cell {k} has unknown algo {row['algo']!r}")
-        return config, Cell(row["algo"], int(row["seed"]), float(row["lr"]),
+        wrong = [f"{key} {row[key]!r}" for key, kind in _CELL_KINDS
+                 if not _fits(kind, row[key])]
+        if wrong:
+            raise ConfigError(f"{summary_path}: cell {k} has the wrong type of "
+                              f"{', '.join(wrong)}")
+        return config, Cell(row["algo"], row["seed"], float(row["lr"]),
                             None if row["beta"] is None else float(row["beta"]))
     raise ConfigError(f"{name} not listed in {summary_path}")
 
@@ -634,18 +650,13 @@ def run_check(trace_path: str) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     detail = []
-    records = []
-    diverged = ""
-    try:
-        records, _, problem = _run(config, cell, data, detail)
-    except (FloatingPointError, OverflowError) as exc:
-        diverged = str(exc)
-    if metrics.csv_text(records).encode() != path.read_bytes():
+    (trace,), _, problem = _run(config, [cell], data, detail)
+    if metrics.csv_text(trace).encode() != path.read_bytes():
         print(f"check failed: rerun of {path.name} differs from the stored trace")
         return 3
     print(f"{path.name}: rerun matches stored trace byte for byte")
-    if diverged:
-        print(f"trajectory diverged ({diverged}); no lemma checks to run")
+    if trace.error:
+        print(f"trajectory diverged ({trace.error}); no lemma checks to run")
         return 0
     reports = _reports_for_detail(config, cell, detail, problem)
     if not reports:

@@ -10,6 +10,63 @@ from pathlib import Path
 import numpy as np
 
 CSV_HEADER = "t,i,f,grad_l1,grad_l2,applied,gamma,d_threshold"
+COLUMNS = tuple(CSV_HEADER.split(","))
+# One trace row; %-formatting with .17g writes round-trip exact floats.
+_ROW = "%d,%d,%.17g,%.17g,%.17g,%d,%.17g,%.17g\n"
+
+
+@dataclass(slots=True)
+class TraceRecord:
+    """Telemetry for one inner iteration, taken before the update."""
+
+    t: int
+    i: int
+    f: float
+    grad_l1: float
+    grad_l2: float
+    applied: bool
+    gamma: float
+    d_threshold: float
+
+
+@dataclass(eq=False)
+class Trace:
+    """The telemetry of one run, one array per CSV column and one entry per
+    recorded iteration; indexing gives a :class:`TraceRecord`.
+
+    ``error`` names where a row of the update kernel stopped (a NaN entry);
+    such a trace has no records.
+    """
+
+    t: np.ndarray
+    i: np.ndarray
+    f: np.ndarray
+    grad_l1: np.ndarray
+    grad_l2: np.ndarray
+    applied: np.ndarray
+    gamma: np.ndarray
+    d_threshold: np.ndarray
+    error: str = ""
+
+    def __post_init__(self):
+        for name in COLUMNS:
+            setattr(self, name, np.asarray(getattr(self, name)))
+
+    @classmethod
+    def stopped(cls, error: str) -> "Trace":
+        return cls(*([()] * len(COLUMNS)), error=error)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, k) -> TraceRecord:
+        return TraceRecord(*(getattr(self, name)[k].item() for name in COLUMNS))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.error == other.error and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in COLUMNS)
 
 
 def l1_norm(v) -> float:
@@ -97,25 +154,22 @@ def process_series(series, window: int, transform: str = "identity",
                            smoothed=log10_series(smoothed))
 
 
-def csv_text(trace) -> str:
-    """Trace records as CSV text with round-trip exact floats (17 significant digits)."""
-    return CSV_HEADER + "\n" + "".join(
-        f"{r.t},{r.i},{r.f:.17g},{r.grad_l1:.17g},{r.grad_l2:.17g},"
-        f"{1 if r.applied else 0},{r.gamma:.17g},{r.d_threshold:.17g}\n" for r in trace)
+def csv_text(trace: Trace) -> str:
+    """A trace as CSV text with round-trip exact floats (17 significant digits)."""
+    columns = [getattr(trace, name).tolist() for name in COLUMNS]
+    return CSV_HEADER + "\n" + "".join(map(_ROW.__mod__, zip(*columns)))
 
 
-def emit_csv(trace, path) -> None:
-    """Write :func:`csv_text` of the trace records to ``path``."""
+def emit_csv(trace: Trace, path) -> None:
+    """Write :func:`csv_text` of the trace to ``path``."""
     try:
         Path(path).write_text(csv_text(trace), newline="")
     except OSError as exc:
         raise OSError(f"writing trace to {path}: {exc}") from exc
 
 
-def read_trace_csv(path):
-    """Parse a trace written by :func:`emit_csv` back into records."""
-    from .optimizers import TraceRecord
-
+def read_trace_csv(path) -> Trace:
+    """Parse a trace written by :func:`emit_csv` back into its columns."""
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -123,12 +177,17 @@ def read_trace_csv(path):
         raise OSError(f"reading trace from {path}: {exc}") from exc
     if not rows or ",".join(rows[0]) != CSV_HEADER:
         raise ValueError(f"{path}: missing or unexpected header")
-    out = []
-    for k, row in enumerate(rows[1:], start=1):
-        if len(row) != 8:
-            raise ValueError(f"{path}: row {k} has {len(row)} fields, expected 8")
-        out.append(TraceRecord(t=int(row[0]), i=int(row[1]), f=float(row[2]),
-                               grad_l1=float(row[3]), grad_l2=float(row[4]),
-                               applied=bool(int(row[5])), gamma=float(row[6]),
-                               d_threshold=float(row[7])))
-    return out
+    body = rows[1:]
+    for k, row in enumerate(body, start=1):
+        if len(row) != len(COLUMNS):
+            raise ValueError(f"{path}: row {k} has {len(row)} fields, expected {len(COLUMNS)}")
+    t, i, f, l1, l2, applied, gamma, dthr = zip(*body) if body else [()] * len(COLUMNS)
+
+    def ints(col):
+        return np.array([int(v) for v in col], dtype=int)
+
+    def floats(col):
+        return np.array([float(v) for v in col])
+
+    return Trace(ints(t), ints(i), floats(f), floats(l1), floats(l2),
+                 ints(applied).astype(bool), floats(gamma), floats(dthr))

@@ -26,11 +26,13 @@ Adam state of the other methods persist across epochs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics, streams
+from . import streams
+from .metrics import Trace
 from .problems import FiniteSumProblem
 from .schedules import Schedule
 
@@ -94,19 +96,20 @@ class Aggregate:
 
 
 def sign_average(signs: Array) -> Aggregate:
-    """Coordinate mean of the rows; entries are exact multiples of 1/M in [-1, 1]."""
+    """Coordinate mean over workers, the second-to-last axis of ``signs``;
+    entries are exact multiples of 1/M in [-1, 1]."""
     signs = np.asarray(signs, dtype=float)
-    if signs.ndim != 2 or signs.shape[0] < 1:
-        raise ValueError("signs must be a non-empty (workers, d) array")
-    return Aggregate("sign_average", signs.sum(axis=0) / signs.shape[0])
+    if signs.ndim < 2 or signs.shape[-2] < 1:
+        raise ValueError("signs must be a non-empty (workers, d) array or a stack of them")
+    return Aggregate("sign_average", signs.sum(axis=-2) / signs.shape[-2])
 
 
 def majority_vote(signs: Array) -> Aggregate:
-    """Ternary vote per coordinate: the sign of the column sum, 0 on ties."""
+    """Ternary vote per coordinate over workers: the sign of the sum, 0 on ties."""
     signs = np.asarray(signs, dtype=float)
-    if signs.ndim != 2 or signs.shape[0] < 1:
-        raise ValueError("signs must be a non-empty (workers, d) array")
-    return Aggregate("majority_vote", np.sign(signs.sum(axis=0)))
+    if signs.ndim < 2 or signs.shape[-2] < 1:
+        raise ValueError("signs must be a non-empty (workers, d) array or a stack of them")
+    return Aggregate("majority_vote", np.sign(signs.sum(axis=-2)))
 
 
 @dataclass
@@ -132,13 +135,17 @@ class CommLedger:
 
 @dataclass(frozen=True)
 class Method:
-    """One update rule as a composition; see the module docstring."""
+    """One update rule as a composition; see the module docstring.
+
+    ``beta`` is one momentum parameter, or a tuple of them with one entry
+    per row of the iterate matrix :func:`run` steps.
+    """
 
     sampler: str
     estimator: str
     direction: str
     aggregator: str = "identity"
-    beta: float = 0.9
+    beta: float | tuple[float, ...] = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
@@ -149,22 +156,9 @@ class Method:
                 raise ValueError(f"unknown method part {value!r}; known: {', '.join(known)}")
         if self.aggregator != "identity" and self.direction not in ("sign", "momentum"):
             raise ValueError(f"{self.aggregator} combines signs; {self.direction!r} pushes none")
-        if self.direction in ("momentum", "adam") and not 0 < self.beta < 1:
+        betas = np.asarray(self.beta, dtype=float)
+        if self.direction in ("momentum", "adam") and not ((betas > 0) & (betas < 1)).all():
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-
-
-@dataclass(slots=True)
-class TraceRecord:
-    """Telemetry for one inner iteration, taken before the update."""
-
-    t: int
-    i: int
-    f: float
-    grad_l1: float
-    grad_l2: float
-    applied: bool
-    gamma: float
-    d_threshold: float
 
 
 @dataclass(slots=True)
@@ -215,16 +209,16 @@ def _epoch_rows(sampler: str, problem: FiniteSumProblem, t: int, seed: int,
 
 
 def _mean(rows):
-    """Mean over workers; one worker's row is its own mean, exactly."""
-    return rows[0] if len(rows) == 1 else np.mean(rows, axis=0)
+    """Mean over the worker axis (axis 1); one worker's entry is its own mean, exactly."""
+    return rows[:, 0] if rows.shape[1] == 1 else rows.mean(axis=1)
 
 
 def _probe(problem: FiniteSumProblem, point):
-    """Objective, full gradient and its norms at a point, averaged over blocks,
-    plus each block's full gradient."""
+    """Objective, full gradient and its l1 and l2 norms at each point of a
+    stack, averaged over blocks, plus each block's full gradient."""
     fulls = problem.grads(point)
     g = _mean(fulls)
-    return float(_mean(problem.values(point))), g, metrics.l1_norm(g), metrics.l2_norm(g), fulls
+    return _mean(problem.values(point)), g, np.abs(g).sum(axis=1), np.sqrt(np.vecdot(g, g)), fulls
 
 
 def run(problem: FiniteSumProblem, method: Method, epochs: range, gamma: Schedule,
@@ -233,14 +227,27 @@ def run(problem: FiniteSumProblem, method: Method, epochs: range, gamma: Schedul
         bytes_per_float: int = 64):
     """Apply ``method`` from x0 over the given epochs of ``problem``'s blocks.
 
+    x0 is one point of shape (d,) or the K rows of an iterate matrix of
+    shape (K, d).  The rows share the sampled rows and the schedules' shape;
+    a vector scale of ``gamma`` and a tuple ``method.beta`` give each row its
+    own stepsize and momentum parameter.  Each row evolves, bit for bit, as
+    a run from that row alone would.
+
     Every inner iteration samples rows for each block, forms each worker's
     estimate and direction, aggregates them and steps the shared iterate by
     lr * payload.  Telemetry is taken before the update every
     ``telemetry_stride`` iterations (every iteration when ``detail`` is a
-    list to append :class:`StepDetail` rows to).  ``dthr`` is the freeze
-    threshold of the anchored estimator.
+    list to append :class:`StepDetail` rows to; that needs a single row).
+    ``dthr`` is the freeze threshold of the anchored estimator.
 
-    Returns (final iterate, trace records, communication ledger).
+    A row stops at a NaN entry in a sign input or in the gradient norms of
+    a probe, where a run from that row alone stops; its trace then holds no
+    records and names the error, its final iterate is NaN, and the other
+    rows run on.  A run from a single point raises FloatingPointError.
+
+    Returns (final iterates, traces, communication ledger): one row's
+    iterate and :class:`~signshuffle.metrics.Trace` for a single point, the
+    (K, d) matrix and a list of K traces otherwise.
     """
     M, d = problem.parts, problem.d
     direction = method.direction
@@ -255,90 +262,174 @@ def run(problem: FiniteSumProblem, method: Method, epochs: range, gamma: Schedul
         raise ValueError(f"the identity aggregator needs one block, got {M}")
     if anchored and dthr is None:
         raise ValueError("the anchored estimator needs a freeze threshold schedule")
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (d,):
-        raise ValueError(f"x0 must have shape ({d},), got {x.shape}")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim not in (1, 2) or x0.shape[-1] != d:
+        raise ValueError(f"x0 must have shape ({d},) or (K, {d}), got {x0.shape}")
+    X = x0.reshape(-1, d)
+    K = X.shape[0]
+    if detail is not None and K != 1:
+        raise ValueError(f"detail rows need a single point, got {K}")
+    n_iter = -(-problem.n0 // batch_size)
+    beta = np.asarray(method.beta, dtype=float)
+    for what, size in (("method.beta", beta.size),
+                       ("gamma", np.size(gamma.epoch(epochs[0], 1)))):
+        if size not in (1, K):
+            raise ValueError(f"{what} gives {size} values for {K} rows")
+    # One momentum parameter for all rows stays a float, as cheap as it is
+    # for a single row; one per row is a (K, 1, 1) column.
+    beta = beta.item() if beta.size == 1 else beta.reshape(-1, 1, 1)
     ledger = CommLedger(bytes_per_sign=bytes_per_sign, bytes_per_float=bytes_per_float)
     aggregate = {"identity": None, "sign_average": sign_average,
                  "majority_vote": majority_vote}[method.aggregator]
-    beta, beta2 = method.beta, method.beta2
-    mom = np.zeros((M, d)) if direction in ("momentum", "adam") else None
-    second = np.zeros((M, d)) if direction == "adam" else None
+    signed = direction in ("sign", "momentum")
+    beta_rest, beta2 = 1.0 - beta, method.beta2
+    mom = np.zeros((K, M, d)) if direction in ("momentum", "adam") else None
+    second = np.zeros((K, M, d)) if direction == "adam" else None
     steps = 0
-    y = py = None
-    cap = dist = 0.0
-    applied = True
+    Y = py = None
+    cap = 0.0
+    dist = np.zeros(K)
+    applied = np.ones(K, dtype=bool)
     last = None
     own = 0 if M == 1 else slice(None)  # detail keeps 1-D rows for one worker
-    n_iter = -(-problem.n0 // batch_size)
     grads, at = problem.grads, problem.at
-    px = at(x)
-    records = []
+    px = at(X)
+    # A row that stops is cut from the matrix at the end of its iteration;
+    # ``rows`` holds the original index of each row left.
+    rows = np.arange(K)
+    stopped = np.zeros(K, dtype=bool)
+    cut = False
+    errors = [""] * K
+    t_col, i_col, cap_col, records = [], [], [], []
+
+    def stop(bad, message):
+        """Stop the rows flagged in ``bad``; True once no row is left."""
+        for k in np.flatnonzero(bad & ~stopped):
+            errors[rows[k]] = message
+        stopped[bad] = True
+        return stopped.all()
+
     for t in epochs:
         batches = _epoch_rows(method.sampler, problem, t, seed, batch_size, n_iter)
+        lrs = gamma.epoch(t, n_iter)
+        lrs = (lrs[:, rows] if lrs.ndim == 2 else
+               np.broadcast_to(lrs[:, None], (n_iter, len(rows))))[..., None]
         if anchored:
-            y, py = x, px
+            caps = dthr.epoch(t, n_iter)
+            Y, py = X, px
             anchor = grads(py)
             if mom is not None:
-                mom = np.zeros((M, d))
+                mom = np.zeros_like(mom)
         for i in range(n_iter):
-            lr = gamma.value_at(t, i, n_iter)
-            rows = batches[i]
+            lr = lrs[i]
+            sampled = batches[i]
             if anchored:
-                cap = dthr.value_at(t, i, n_iter)
-                v = (grads(px, rows) - grads(py, rows)) + anchor
+                cap = caps[i]
+                v = (grads(px, sampled) - grads(py, sampled)) + anchor
             else:
-                v = grads(px, rows)
+                v = grads(px, sampled)
             if direction == "sign":
-                push = sign(v)
+                push = np.sign(v)
             elif direction == "raw":
                 push = v
             else:
-                mom = beta * mom + (1.0 - beta) * v
+                mom = beta * mom + beta_rest * v
                 if direction == "momentum":
-                    push = sign(mom)
+                    push = np.sign(mom)
                 else:
                     second = beta2 * second + (1.0 - beta2) * v * v
                     steps += 1
-                    m_hat = mom[0] / (1.0 - beta ** steps)
-                    v_hat = second[0] / (1.0 - beta2 ** steps)
+                    # Python's float power, row by row, as a lone row computes it.
+                    fix = (1.0 - beta ** steps if isinstance(beta, float) else
+                           np.array([[1.0 - b ** steps] for b in beta.ravel().tolist()]))
+                    m_hat = mom[:, 0] / fix
+                    v_hat = second[:, 0] / (1.0 - beta2 ** steps)
                     push = None
+            # A sum of squared signs is NaN only where a sign is.
+            if signed and math.isnan(push.ravel() @ push.ravel()):
+                cut = True
+                if stop(np.isnan(push).any(axis=(1, 2)), "sign: NaN entry in input"):
+                    break
             if aggregate is not None:
                 payload = aggregate(push).payload
             elif push is not None:
-                payload = push[0]
+                payload = push[:, 0]
             if anchored:
-                dist = float(np.abs(x - y).max())
+                dist = np.abs(X - Y).max(axis=1)
                 applied = dist <= cap
             want_record = i % telemetry_stride == 0
             if want_record or detail is not None:
                 f, g, l1, l2, fulls = _probe(problem, px)
+                # Norms are not negative, so their sum is NaN only where one is.
+                if math.isnan(sum(l1.tolist())):
+                    cut = True
+                    if stop(np.isnan(l1), "l1_norm: NaN entry"):
+                        break
                 if want_record:
-                    records.append(TraceRecord(t, i, f, l1, l2, applied, lr, cap))
+                    t_col.append(t)
+                    i_col.append(i)
+                    cap_col.append(cap)
+                    records.append((f, l1, l2, applied, lr))
                 if last is not None:
-                    last.f_after = f
+                    last.f_after = f[0]
             if detail is not None:
+                on = bool(applied[0])
                 applied_dir = None
-                if direction in ("sign", "momentum"):
-                    applied_dir = payload if applied else np.zeros_like(x)
-                last = StepDetail(t, i, applied, lr, cap, dist, f, np.nan, g, v[own],
-                                  applied_dir, None if mom is None else mom[own], x, y,
-                                  np.abs(v - fulls).max(axis=0) if anchored else None)
+                if signed:
+                    applied_dir = payload[0] if on else np.zeros(d)
+                last = StepDetail(t, i, on, lr[0, 0], cap, float(dist[0]), f[0], np.nan, g[0],
+                                  v[0, own], applied_dir, None if mom is None else mom[0, own],
+                                  X[0], None if Y is None else Y[0],
+                                  np.abs(v[0] - fulls[0]).max(axis=0) if anchored else None)
                 detail.append(last)
-            if applied:
+            everywhere = not anchored or all(applied.tolist())
+            if everywhere or applied.any():
                 if push is None:
-                    x = x - lr * m_hat / (np.sqrt(v_hat) + method.eps)
+                    moved = X - lr * m_hat / (np.sqrt(v_hat) + method.eps)
                 else:
-                    x = x - lr * payload
-                px = at(x)
+                    moved = X - lr * payload
+                X = moved if everywhere else np.where(applied[:, None], moved, X)
+                px = at(X)
+            if cut:
+                cut = False
+                keep = ~stopped
+                rows = rows[keep]
+                stopped, X, applied, lrs = stopped[keep], X[keep], applied[keep], lrs[:, keep]
+                px = at(X)
+                records = [tuple(column[keep] for column in record) for record in records]
+                if anchored:
+                    Y, anchor = Y[keep], anchor[keep]
+                    py = at(Y)
+                if mom is not None:
+                    mom = mom[keep]
+                if second is not None:
+                    second = second[keep]
+                if not isinstance(beta, float):
+                    beta, beta_rest = beta[keep], beta_rest[keep]
+        else:
+            continue
+        break
     if last is not None:
-        last.f_after = float(_mean(problem.values(px)))
+        last.f_after = _mean(problem.values(px))[0]
     if aggregate is not None:
         rounds = len(epochs) * n_iter
         ledger.bytes_up = rounds * M * d * bytes_per_sign
         ledger.bytes_down = rounds * M * d * (bytes_per_float if aggregate is sign_average
                                               else bytes_per_sign)
-    return x, records, ledger
+    final = np.full((K, d), np.nan)
+    traces = [Trace.stopped(error) for error in errors]
+    if not stopped.all():
+        t_col, i_col, cap_col = np.array(t_col), np.array(i_col), np.array(cap_col)
+        columns = [np.concatenate(column).reshape(len(column), -1)
+                   for column in zip(*records)]
+        for j, k in enumerate(rows):
+            final[k] = X[j]
+            traces[k] = Trace(t_col, i_col, *(column[:, j] for column in columns), cap_col)
+    if x0.ndim == 2:
+        return final, traces, ledger
+    if errors[0]:
+        raise FloatingPointError(errors[0])
+    return final[0], traces[0], ledger
 
 
 @dataclass
@@ -365,17 +456,17 @@ class SignRVMState(SignRVRState):
 
 def _epoch(state, problem: FiniteSumProblem, method: Method, gamma: Schedule,
            dthr: Schedule, **kw):
-    state.x, records, _ = run(problem.split(), method, range(state.t, state.t + 1),
-                              gamma, dthr, seed=state.seed, x0=state.x, **kw)
+    state.x, trace, _ = run(problem.split(), method, range(state.t, state.t + 1),
+                            gamma, dthr, seed=state.seed, x0=state.x, **kw)
     state.t += 1
-    return state, records
+    return state, trace
 
 
 def signrvr_epoch(state: SignRVRState, problem: FiniteSumProblem, gamma: Schedule,
                   dthr: Schedule, **kw):
     """One anchored variance-reduced epoch of sign steps on a single machine.
 
-    Keyword arguments are those of :func:`run`; returns (state, records).
+    Keyword arguments are those of :func:`run`; returns (state, trace).
     """
     return _epoch(state, problem, Method("shuffle", "anchored", "sign"), gamma, dthr, **kw)
 

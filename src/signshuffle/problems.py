@@ -32,7 +32,7 @@ class FiniteSumProblem:
     n0: int
 
     def at(self, x: Array):
-        """Evaluate a point of shape (d,), or a stack of points of shape (P, d)."""
+        """Evaluate a point of shape (d,), or a stack of points of shape (K, d)."""
         raise NotImplementedError
 
     def grads(self, point, rows: Array | None = None) -> Array:
@@ -40,13 +40,14 @@ class FiniteSumProblem:
 
         ``rows`` holds global row indices: 1-D for one component per entry,
         2-D for one batch per entry.  None gives each block's full gradient.
-        At a stack of points, a single row gives its gradient at every point,
-        shape (P, d).
+        The result has shape (entries, d) at a single point and
+        (K, entries, d) at a stack of K points.
         """
         raise NotImplementedError
 
-    def values(self, point):
-        """Each block's objective at an evaluated single point, one per block."""
+    def values(self, point) -> Array:
+        """Each block's objective at an evaluated point: shape (parts,), or
+        (K, parts) at a stack of K points."""
         raise NotImplementedError
 
     def split(self, parts: int = 1) -> "FiniteSumProblem":
@@ -110,6 +111,7 @@ class RosenbrockSum(FiniteSumProblem):
             raise ValueError("b entries must not exceed u_max")
         b.setflags(write=False)
         self.b = b
+        self._scales = b[:, None]
         self.n = int(b.size)
         self.d = int(d)
         self.u_max = float(u_max)
@@ -119,41 +121,42 @@ class RosenbrockSum(FiniteSumProblem):
     def _cut(self, parts: int) -> None:
         super()._cut(parts)
         n0 = self.n0
-        self.block_b = [float(self.b[m * n0:(m + 1) * n0].mean()) for m in range(parts)]
-        self._block_scales = np.array(self.block_b)[:, None]
+        self.block_b = np.array([self.b[m * n0:(m + 1) * n0].mean() for m in range(parts)])
 
     def at(self, x: Array):
-        """The gradients of the gap and base terms, and the terms themselves."""
+        """The gradients of the gap and base terms, and the terms themselves,
+        each with an axis of length 1 for the blocks before the coordinates."""
         self._check_point(x)
+        x = x[..., None, :]
         head = x[..., :-1]
         gap = x[..., 1:] - head * head
         miss = 1.0 - head
         grad_gap = np.zeros(x.shape)
-        grad_gap[..., :-1] = -4.0 * head * gap
+        np.multiply(-4.0 * head, gap, out=grad_gap[..., :-1])
         grad_gap[..., 1:] += 2.0 * gap
         grad_base = np.zeros(x.shape)
-        grad_base[..., :-1] = -2.0 * miss
+        np.multiply(miss, -2.0, out=grad_base[..., :-1])
         return grad_gap, grad_base, gap, miss
 
     def grads(self, point, rows: Array | None = None) -> Array:
         grad_gap, grad_base, _, _ = point
         if rows is None:
-            scale = self._block_scales
+            scale = self.block_b[:, None]
         elif rows.ndim == 1:
-            scale = self.b[rows][:, None]
+            scale = self._scales[rows]
         else:
             scale = self.b[rows].mean(axis=1, keepdims=True)
         return scale * grad_gap + grad_base
 
-    def values(self, point) -> list:
+    def values(self, point) -> Array:
+        # np.vecdot rounds each point's sum of squares as the 1-D product does.
         _, _, gap, miss = point
-        gap_sq, base_sq = float(gap @ gap), float(miss @ miss)
-        return [b * gap_sq + base_sq for b in self.block_b]
+        return self.block_b * np.vecdot(gap, gap) + np.vecdot(miss, miss)
 
     def component_value(self, i: int, x: Array) -> float:
         """Row i's objective: a block value with row i's own scale."""
         self._check_index(i)
-        _, _, gap, miss = self.at(x)
+        _, _, (gap,), (miss,) = self.at(x)
         return float(self.b[i]) * float(gap @ gap) + float(miss @ miss)
 
 
@@ -227,39 +230,42 @@ class LogisticProblem(FiniteSumProblem):
 
     def grads(self, W: Array, rows: Array | None = None) -> Array:
         if rows is None:
-            return np.array([self._mean_grad(block, W) for block in self.blocks])
-        if rows.ndim == 1:
-            return np.concatenate([self._row_grad(i, W) for i in rows])
-        return np.array([self._mean_grad(batch, W) for batch in rows])
+            parts = [self._mean_grad(block, W) for block in self.blocks]
+        elif rows.ndim == 1:
+            parts = [self._row_grad(i, W) for i in rows]
+        else:
+            parts = [self._mean_grad(batch, W) for batch in rows]
+        return np.stack(parts, axis=-2)
 
     def values(self, W: Array) -> Array:
-        return np.array([self._mean_loss(block, W) for block in self.blocks])
+        return np.stack([self._mean_loss(block, W) for block in self.blocks], axis=-1)
 
     # Single rows use the 1-D product features[i] @ W and batches the matrix
     # product; the two round differently, so each path keeps its own form.
+    # A stack of weight matrices multiplies each matrix as a lone one would.
     def _row_grad(self, i, W: Array) -> Array:
-        """Row i's gradient at W, or at each matrix of a stack: shape (P, d)."""
+        """Row i's gradient at W, or at each matrix of a stack: shape (..., d)."""
         z = self.features[i] @ W
         z = z - z.max(axis=-1, keepdims=True)
         p = np.exp(z)
         p /= p.sum(axis=-1, keepdims=True)
         p[..., self.labels[i]] -= 1.0
-        return (self.features[i][:, None] * p[..., None, :]).reshape(-1, self.d)
+        return (self.features[i][:, None] * p[..., None, :]).reshape(W.shape[:-2] + (self.d,))
 
     def _mean_grad(self, rows: Array, W: Array) -> Array:
         X = self.features[rows]
         Z = X @ W
-        Z = Z - Z.max(axis=1, keepdims=True)
+        Z = Z - Z.max(axis=-1, keepdims=True)
         P = np.exp(Z)
-        P /= P.sum(axis=1, keepdims=True)
-        P[np.arange(rows.size), self.labels[rows]] -= 1.0
-        return (X.T @ P).ravel() / rows.size
+        P /= P.sum(axis=-1, keepdims=True)
+        P[..., np.arange(rows.size), self.labels[rows]] -= 1.0
+        return (X.T @ P).reshape(W.shape[:-2] + (self.d,)) / rows.size
 
-    def _mean_loss(self, rows: Array, W: Array) -> float:
+    def _mean_loss(self, rows: Array, W: Array):
         Z = self.features[rows] @ W
-        Z = Z - Z.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(Z).sum(axis=1))
-        return float((lse - Z[np.arange(rows.size), self.labels[rows]]).mean())
+        Z = Z - Z.max(axis=-1, keepdims=True)
+        lse = np.log(np.exp(Z).sum(axis=-1))
+        return (lse - Z[..., np.arange(rows.size), self.labels[rows]]).mean(axis=-1)
 
 
 def load_logistic_csv(path, has_header: bool = False) -> LogisticProblem:
@@ -288,10 +294,10 @@ def load_logistic_csv(path, has_header: bool = False) -> LogisticProblem:
             raise ValueError(f"{path}: row {k} has {len(row)} columns, expected {width}")
         try:
             feats[k] = [float(v) for v in row[:-1]]
+            raw = float(row[-1])
         except ValueError as exc:
             raise ValueError(f"{path}: row {k}: {exc}") from exc
-        raw = float(row[-1])
-        if raw != int(raw):
+        if not raw.is_integer():
             raise ValueError(f"{path}: row {k}: label {row[-1]} is not an integer")
         labels[k] = int(raw)
     return LogisticProblem(feats, labels)
@@ -368,19 +374,20 @@ def estimate_coordinate_smoothness(problem: FiniteSumProblem, region, samples: i
     # last rows its sign-pattern probes.
     points = np.empty((1 + d + corner_probes, d))
     coords = np.arange(d)
+    signs = np.array((-1.0, 1.0))
+    # The draws below are those of one scalar draw per coordinate and of
+    # rng.choice over ``signs``, in the same order; powers stay Python floats.
     for _ in range(samples):
         row = np.array([block * problem.n0 + int(rng.integers(problem.n0))])
         x = rng.uniform(lo, hi)
         points[:] = x
-        for j in range(d):
-            step = 0.5 * width[j] * 10.0 ** rng.uniform(-3.0, 0.0)
-            direction = -1.0 if x[j] - lo[j] >= step else 1.0
-            points[1 + j, j] += direction * step
+        steps = 0.5 * width * np.array([10.0 ** u for u in rng.uniform(-3.0, 0.0, d).tolist()])
+        points[1 + coords, coords] += np.where(x - lo >= steps, -1.0, 1.0) * steps
         for k in range(corner_probes):
-            pattern = rng.choice((-1.0, 1.0), size=d)
+            pattern = signs[rng.integers(0, 2, size=d)]
             points[1 + d + k] = np.clip(
                 x + pattern * 0.5 * width * 10.0 ** rng.uniform(-3.0, 0.0), lo, hi)
-        g = problem.grads(problem.at(points), row)
+        g = problem.grads(problem.at(points), row)[:, 0]
         g0 = g[0]
         ratio = np.abs(g[1 + coords, coords] - g0) / np.abs(points[1 + coords, coords] - x)
         best = np.where(ratio > best, ratio, best)

@@ -158,11 +158,13 @@ def markov_suite(samples: int = 100_000, seed: int = 0) -> list:
     rng = np.random.default_rng(seed)
     b = np.array([1.5, -0.8, 0.3, -2.0])
     shape = (samples, b.size)
-    models = (("gaussian", rng.normal(0.0, 1.0, shape)),
-              ("uniform", rng.uniform(-1.5, 1.5, shape)),
-              ("student-t3", rng.standard_t(3, shape)))
-    return [replace(check_sign_markov(b + noise, b), lemma_id=f"sign-markov[{name}]")
-            for name, noise in models]
+    # Each model's noise is drawn just before its check, so that only one
+    # model's samples are held at a time; the draws keep their order.
+    models = (("gaussian", lambda: rng.normal(0.0, 1.0, shape)),
+              ("uniform", lambda: rng.uniform(-1.5, 1.5, shape)),
+              ("student-t3", lambda: rng.standard_t(3, shape)))
+    return [replace(check_sign_markov(b + draw(), b), lemma_id=f"sign-markov[{name}]")
+            for name, draw in models]
 
 
 def iterate_box(details, pad: float = 0.0) -> tuple[Array, Array]:

@@ -108,7 +108,7 @@ def test_criterion_05_single_worker_reduction(criterion):
     for _ in range(epochs):
         state, recs = opt.signrvr_epoch(state, problem, gamma, dthr)
         central_vr.extend(recs)
-    vr_ok = np.array_equal(x_vr, state.x) and rec_vr == central_vr
+    vr_ok = np.array_equal(x_vr, state.x) and list(rec_vr) == central_vr
 
     workers = dst.make_rosenbrock_workers(1, n0, d, u_max, seed)
     x_vm, rec_vm, _ = dst.dist_signrvm_run(workers, epochs, gamma, dthr,
@@ -118,7 +118,7 @@ def test_criterion_05_single_worker_reduction(criterion):
     for _ in range(epochs):
         mstate, recs = opt.signrvm_epoch(mstate, problem, gamma, dthr)
         central_vm.extend(recs)
-    vm_ok = np.array_equal(x_vm, mstate.x) and rec_vm == central_vm
+    vm_ok = np.array_equal(x_vm, mstate.x) and list(rec_vm) == central_vm
 
     criterion(5, vr_ok and vm_ok,
               f"one-worker runs match the centralized methods bit for bit "

@@ -131,7 +131,7 @@ class TestSingleWorkerReduction:
         x_d, recs_d, _ = dist_signrvr_run(workers, 4, Constant(0.05), Constant(0.4),
                                           master_seed=MASTER, x0=np.full(3, 0.3))
         np.testing.assert_array_equal(x_d, x_c)
-        assert recs_d == recs_c
+        assert list(recs_d) == recs_c
 
     def test_signrvm_reduces_to_centralized(self):
         x_c, recs_c = self.centralized(SignRVMState, 5, 3, 9, 4, beta=0.8)
@@ -140,7 +140,7 @@ class TestSingleWorkerReduction:
                                           beta=0.8, master_seed=MASTER,
                                           x0=np.full(3, 0.3))
         np.testing.assert_array_equal(x_d, x_c)
-        assert recs_d == recs_c
+        assert list(recs_d) == recs_c
 
 
 class TestFastPaths:
@@ -284,5 +284,5 @@ def test_freeze_behaviour_matches_centralized_semantics():
     workers = workers_of(3)
     x, recs, _ = dist_signrvr_run(workers, 1, Constant(0.05), Constant(1e-12),
                                   master_seed=MASTER, x0=np.full(3, 0.3))
-    assert recs[0].applied and not any(r.applied for r in recs[1:])
+    assert recs.applied[0] and not recs.applied[1:].any()
     assert float(np.abs(x - 0.3).max()) == pytest.approx(0.05, abs=1e-12)

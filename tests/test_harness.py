@@ -245,11 +245,13 @@ class TestRunExperiment:
         real = hz.run_cell
         calls = {"n": 0}
 
-        def explode(cfg, cell, data=None):
+        def explode(cfg, cells, data=None):
+            # The second (algorithm, seed) group fails after the first wrote
+            # its traces.
             calls["n"] += 1
-            if calls["n"] == 3:
+            if calls["n"] == 2:
                 raise RuntimeError("disk on fire")
-            return real(cfg, cell, data)
+            return real(cfg, cells, data)
 
         monkeypatch.setattr(hz, "run_cell", explode)
         with pytest.raises(RuntimeError):
@@ -344,6 +346,32 @@ class TestCheckTrace:
         rc, err = self.check_with_summary(tmp_path, capsys, self.without("cells"))
         assert rc == 2 and err.startswith("config error:") and "'cells'" in err
 
+    @pytest.mark.parametrize("key, value", [("seed", "1"), ("seed", 1.5), ("lr", "fast"),
+                                            ("lr", True), ("beta", "high")])
+    def test_cell_row_with_wrong_type(self, tmp_path, capsys, key, value):
+        def doctor(path):
+            data = json.loads(path.read_text())
+            for row in data["cells"]:
+                row[key] = value
+            path.write_text(json.dumps(data))
+
+        rc, err = self.check_with_summary(tmp_path, capsys, doctor)
+        assert rc == 2 and err.startswith("config error:") and f"{key} {value!r}" in err
+
+    def test_unreadable_logistic_rows_fail_check_with_exit_2(self, logistic_csv, tmp_path,
+                                                              capsys):
+        csv = tmp_path / "rows.csv"
+        csv.write_bytes(Path(logistic_csv).read_bytes())
+        config = logistic_config("logistic_central", csv, tmp_path / "o",
+                                 algorithms=("signsgd",), lr_grid=(1e-2,), seeds=(1,),
+                                 epochs=1, lemma_checks=False)
+        hz.run_experiment(config)
+        csv.write_text("1.0,2.0,0\n1.0,abc,1\n")
+        capsys.readouterr()
+        assert hz.run_check(str(tmp_path / "o" / "signsgd_1_lr1e-02.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "row 1" in err and "abc" in err
+
     @pytest.mark.parametrize("key", ["csv", "algo", "seed", "lr", "beta"])
     def test_cell_row_without_key(self, tmp_path, capsys, key):
         def doctor(path):
@@ -395,6 +423,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("config error:") and "605 rows" in err and "10 workers" in err
+        assert not list((tmp_path / "o").glob("*.csv"))
+
+    @pytest.mark.parametrize("rows", ["1.0,2.0,0\n1.0,abc,1\n", "1.0,2.0,0\n1.0,2.0,x\n",
+                                      "1.0,2.0,0\n1.0,2.0,inf\n"])
+    def test_unreadable_logistic_rows_are_exit_2(self, tmp_path, capsys, rows):
+        csv = tmp_path / "bad.csv"
+        csv.write_text(rows)
+        rc = hz.main(["run", "--preset", "logistic_central", "--csv-path", str(csv),
+                      "--epochs", "1", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:") and "row 1" in err
         assert not list((tmp_path / "o").glob("*.csv"))
 
     def test_every_field_has_a_flag(self):
@@ -449,6 +489,21 @@ def logistic_config(preset, csv_path, out_dir, **kw):
                      out_dir=str(out_dir))
     overrides.update(kw)
     return build_config(preset, None, overrides, None)
+
+
+@pytest.mark.parametrize("preset", ["rosenbrock_central", "rosenbrock_dist"])
+def test_process_pool_matches_serial_rosenbrock_run(preset, tmp_path):
+    # jobs > 1 maps the (algorithm, seed) groups over worker processes.
+    def config(out, jobs):
+        return build_config(preset, None, dict(n=10, epochs=2, seeds=(1, 2), jobs=jobs,
+                                               lr_grid=(1e-1, 1e-3), beta_grid=(0.5, 0.9),
+                                               smoothness_samples=20,
+                                               out_dir=str(tmp_path / out)), None)
+
+    serial, pooled = config("serial", 1), config("pooled", 2)
+    hz.run_experiment(serial)
+    hz.run_experiment(pooled)
+    assert _outputs(serial.out_dir) == _outputs(pooled.out_dir)
 
 
 class TestLogisticPresets:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from signshuffle import (
     CSV_HEADER,
+    Trace,
     TraceRecord,
     csv_text,
     emit_csv,
@@ -93,12 +94,22 @@ def test_process_series_validation():
 
 
 def sample_trace():
-    return [
+    return Trace(t=[0, 0], i=[0, 1], f=[1.25, 0.1 + 0.2], grad_l1=[3.0, 1.0 / 3.0],
+                 grad_l2=[2.0, np.pi], applied=[True, False], gamma=[0.1, 0.05],
+                 d_threshold=[2.0, 0.5])
+
+
+def test_trace_rows_are_records():
+    trace = sample_trace()
+    assert len(trace) == 2
+    assert list(trace) == [
         TraceRecord(t=0, i=0, f=1.25, grad_l1=3.0, grad_l2=2.0,
                     applied=True, gamma=0.1, d_threshold=2.0),
         TraceRecord(t=0, i=1, f=0.1 + 0.2, grad_l1=1.0 / 3.0, grad_l2=np.pi,
                     applied=False, gamma=0.05, d_threshold=0.5),
     ]
+    assert trace != Trace.stopped("sign: NaN entry in input")
+    assert len(Trace.stopped("sign: NaN entry in input")) == 0
 
 
 def test_csv_round_trip_is_exact(tmp_path):
@@ -124,7 +135,7 @@ def test_emitted_file_is_the_csv_text(tmp_path):
     path = tmp_path / "trace.csv"
     emit_csv(sample_trace(), path)
     assert path.read_bytes() == csv_text(sample_trace()).encode()
-    assert csv_text([]) == CSV_HEADER + "\n"
+    assert csv_text(Trace.stopped("l1_norm: NaN entry")) == CSV_HEADER + "\n"
     assert csv_text(sample_trace()).splitlines()[2] == (
         "0,1,0.30000000000000004,0.33333333333333331,3.1415926535897931,"
         "0,0.050000000000000003,0.5")
@@ -146,7 +157,7 @@ def test_csv_read_rejects_bad_input(tmp_path):
 @settings(max_examples=200, deadline=None)
 def test_csv_float_round_trip_property(tmp_path_factory, value):
     path = tmp_path_factory.mktemp("rt") / "one.csv"
-    rec = TraceRecord(t=0, i=0, f=value, grad_l1=abs(value), grad_l2=0.0,
-                      applied=True, gamma=1.0, d_threshold=1.0)
-    emit_csv([rec], path)
+    trace = Trace(t=[0], i=[0], f=[value], grad_l1=[abs(value)], grad_l2=[0.0],
+                  applied=[True], gamma=[1.0], d_threshold=[1.0])
+    emit_csv(trace, path)
     assert read_trace_csv(path)[0].f == value

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 from closed_forms import bowl_grad, bowl_value
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from signshuffle import (
     Constant,
     InverseSqrt,
+    LogisticProblem,
     Method,
     SignRVMState,
     SignRVRState,
@@ -355,3 +356,76 @@ def test_freeze_invariant_property(cap, lr, seed, beta):
             if prev_x is not None and not prev_row.applied:
                 np.testing.assert_array_equal(row.x, prev_x)
             prev_x, prev_row = row.x, row
+
+
+# The cell axis: a K-row run is K one-row runs, bit for bit.
+
+DIRECTIONS = ("raw", "sign", "momentum", "adam")
+
+
+def cell_problem(family, parts, seed):
+    """Six rows per block of a Rosenbrock sum (d=3) or a logistic problem (d=6)."""
+    n = 6 * parts
+    if family == "rosenbrock":
+        return make_rosenbrock(n, 3, 10.0, seed).split(parts)
+    rng = np.random.default_rng(seed)
+    return LogisticProblem(rng.normal(size=(n, 2)), rng.integers(0, 3, n), 3).split(parts)
+
+
+@given(family=st.sampled_from(("rosenbrock", "logistic")), parts=st.sampled_from((1, 3)),
+       batch=st.sampled_from((1, 3)), stride=st.sampled_from((1, 4)),
+       sampler=st.sampled_from(("shuffle", "draw")), anchored=st.booleans(),
+       direction=st.sampled_from(DIRECTIONS), vote=st.booleans(), decay=st.booleans(),
+       lrs=st.lists(st.sampled_from((1e-3, 0.05, 0.3, 40.0)), min_size=1, max_size=4),
+       betas=st.lists(st.floats(0.05, 0.95), min_size=4, max_size=4),
+       far=st.lists(st.booleans(), min_size=4, max_size=4), seed=st.integers(0, 50))
+@settings(max_examples=80, deadline=None)
+@example(family="rosenbrock", parts=1, batch=1, stride=1, sampler="draw", anchored=False,
+         direction="raw", vote=False, decay=False, lrs=[40.0, 1e-3, 40.0],
+         betas=[0.9] * 4, far=[False] * 4, seed=SEED)
+def test_rows_run_as_lone_runs(family, parts, batch, stride, sampler, anchored, direction,
+                               vote, decay, lrs, betas, far, seed):
+    # Rows stop at a NaN and their siblings run on: raw steps of 40 overflow
+    # on the Rosenbrock sum, and a Rosenbrock start at 1e155 squares to
+    # infinity, so its first gradient holds a NaN.
+    if parts > 1 and direction in ("raw", "adam"):
+        direction = "sign"
+    aggregator = ("identity" if parts == 1 else
+                  "majority_vote" if vote and not anchored else "sign_average")
+    problem = cell_problem(family, parts, seed)
+    schedule = InverseSqrt if decay else Constant
+    estimator = "anchored" if anchored else "component"
+    betas = tuple(betas[:len(lrs)])
+    x0 = np.array([np.linspace(-0.5, 0.8, problem.d) * (1e155 if f else 1.0)
+                   for f in far[:len(lrs)]])
+    kw = dict(seed=seed, batch_size=batch, telemetry_stride=stride)
+    with np.errstate(all="ignore"):
+        xs, traces, ledger = run(problem, Method(sampler, estimator, direction, aggregator,
+                                                 beta=betas),
+                                 range(3), schedule(np.array(lrs)), Constant(0.2),
+                                 x0=x0, **kw)
+        for k, (lr, beta) in enumerate(zip(lrs, betas)):
+            alone = Method(sampler, estimator, direction, aggregator, beta=beta)
+            try:
+                x, trace, own_ledger = run(problem, alone, range(3), schedule(lr),
+                                           Constant(0.2), x0=x0[k], **kw)
+            except FloatingPointError as exc:
+                assert traces[k].error == str(exc) and len(traces[k]) == 0
+                assert np.isnan(xs[k]).all()
+                continue
+            np.testing.assert_array_equal(xs[k], x)
+            assert traces[k] == trace and not trace.error
+            assert ledger == own_ledger
+
+
+def test_cell_axis_validation():
+    p = problem()
+    with pytest.raises(ValueError):
+        run(p.split(), SIGNRR, range(1), Constant(np.array([0.1, 0.2, 0.3])), seed=SEED,
+            x0=np.zeros((2, D)))
+    with pytest.raises(ValueError):
+        run(p.split(), Method("draw", "component", "momentum", beta=(0.5, 0.6, 0.7)),
+            range(1), Constant(0.1), seed=SEED, x0=np.zeros((2, D)))
+    with pytest.raises(ValueError):
+        run(p.split(), SIGNRR, range(1), Constant(0.1), seed=SEED, x0=np.zeros((2, D)),
+            detail=[])

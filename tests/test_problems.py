@@ -19,6 +19,21 @@ def small_problem(n=7, d=4, u_max=10.0, seed=3):
     return make_rosenbrock(n, d, u_max, seed)
 
 
+def assert_stack_matches_points(p, xs, row_sets):
+    """The oracle at a stack of points gives, bit for bit, what it gives at
+    each point alone: row gradients, batch gradients, block gradients, values."""
+    point = p.at(xs)
+    for rows in (*row_sets, None):
+        got = p.grads(point, rows)
+        assert got.shape == (len(xs), p.parts, p.d)
+        for x, g in zip(xs, got):
+            np.testing.assert_array_equal(g, p.grads(p.at(x), rows))
+    got = p.values(point)
+    assert got.shape == (len(xs), p.parts)
+    for x, v in zip(xs, got):
+        np.testing.assert_array_equal(v, p.values(p.at(x)))
+
+
 def value(p, x):
     """The whole problem's objective, read off the oracle."""
     whole = p.split()
@@ -85,12 +100,9 @@ class TestRosenbrockSum:
         np.testing.assert_array_equal(p.component_grad(3, x), bowl_grad(3.0, x))
 
     def test_stacked_points_match_single_points(self):
-        p = small_problem()
+        p = small_problem(n=8).split(2)
         xs = np.random.default_rng(0).uniform(-2.0, 2.0, (5, p.d))
-        got = p.grads(p.at(xs), np.array([4]))
-        assert got.shape == xs.shape
-        for x, g in zip(xs, got):
-            np.testing.assert_array_equal(g, p.grads(p.at(x), np.array([4]))[0])
+        assert_stack_matches_points(p, xs, (np.array([4, 1]), np.array([[0, 3], [5, 5]])))
 
     def test_split_keeps_the_rows(self):
         p = make_rosenbrock(6, 3, 10.0, 1)
@@ -216,11 +228,10 @@ class TestLogisticProblem:
                                    rtol=1e-13, atol=1e-15)
 
     def test_stacked_points_match_single_points(self):
-        p = tiny_logistic()
+        p = tiny_logistic().split(2)
         xs = np.random.default_rng(4).normal(size=(5, p.d))
-        got = p.grads(p.at(xs), np.array([2]))
-        assert got.shape == xs.shape
-        for x, g in zip(xs, got):
+        assert_stack_matches_points(p, xs, (np.array([2, 1]), np.array([[0, 3], [3, 3]])))
+        for x, g in zip(xs, p.grads(p.at(xs), np.array([2]))[:, 0]):
             np.testing.assert_array_equal(g, p.component_grad(2, x))
 
     def test_gradients_pass_finite_differences(self):

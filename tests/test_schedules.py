@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -81,3 +82,30 @@ def test_inverse_sqrt_positive_and_nonincreasing(c0, n, t, shift):
         prev = v
     # Epoch boundary continues the same flattened decay.
     assert s.value_at(t + 1, 0, n) <= prev
+
+
+@given(c0=st.floats(1e-6, 1e3), scales=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=5),
+       n=st.integers(1, 60), t=st.integers(0, 200), shift=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_epoch_values_are_value_at_bit_for_bit(c0, scales, n, t, shift):
+    # A whole epoch at once, and one value per row of a vector scale, each
+    # equal to the lone scalar schedule's value_at.
+    for schedule in (InverseSqrt(c0, epoch_shift=shift), Constant(c0)):
+        assert schedule.epoch(t, n).tolist() == [schedule.value_at(t, i, n) for i in range(n)]
+    vector = np.array(scales)
+    for schedule, one in ((InverseSqrt(vector, epoch_shift=shift),
+                           lambda c: InverseSqrt(c, epoch_shift=shift)),
+                          (Constant(vector), Constant)):
+        got = schedule.epoch(t, n)
+        assert got.shape == (n, len(scales))
+        for k, c in enumerate(scales):
+            assert got[:, k].tolist() == [one(c).value_at(t, i, n) for i in range(n)]
+        assert schedule.value_at(t, 0, n).tolist() == got[0].tolist()
+
+
+def test_vector_scale_validation():
+    for bad in ([], [[0.1]], [0.1, 0.0], [0.1, math.inf], [math.nan]):
+        with pytest.raises(ValueError):
+            Constant(np.array(bad))
+        with pytest.raises(ValueError):
+            InverseSqrt(np.array(bad))
