@@ -19,7 +19,7 @@ from .optimizers import (Aggregate, CommLedger, Method, Permutation,
                          sign_average, signrvm_epoch, signrvr_epoch)
 from .problems import (FiniteSumProblem, LogisticProblem, RosenbrockSum,
                        estimate_coordinate_smoothness, finite_diff_check,
-                       load_logistic_csv, make_rosenbrock)
+                       load_logistic_csv, make_logistic, make_rosenbrock)
 from .schedules import Constant, InverseSqrt, Schedule
 from .theory import (LemmaReport, check_descent, check_sign_markov,
                      check_vr_bound, iterate_box, markov_suite)

@@ -216,9 +216,9 @@ def _mean(rows):
 def _probe(problem: FiniteSumProblem, point):
     """Objective, full gradient and its l1 and l2 norms at each point of a
     stack, averaged over blocks, plus each block's full gradient."""
-    fulls = problem.grads(point)
+    fulls, values = problem.grads_values(point)
     g = _mean(fulls)
-    return _mean(problem.values(point)), g, np.abs(g).sum(axis=1), np.sqrt(np.vecdot(g, g)), fulls
+    return _mean(values), g, np.abs(g).sum(axis=1), np.sqrt(np.vecdot(g, g)), fulls
 
 
 def run(problem: FiniteSumProblem, method: Method, epochs: range, gamma: Schedule,
@@ -410,7 +410,7 @@ def run(problem: FiniteSumProblem, method: Method, epochs: range, gamma: Schedul
             continue
         break
     if last is not None:
-        last.f_after = _mean(problem.values(px))[0]
+        last.f_after = _mean(problem.grads_values(px)[1])[0]
     if aggregate is not None:
         rounds = len(epochs) * n_iter
         ledger.bytes_up = rounds * M * d * bytes_per_sign

@@ -5,13 +5,16 @@ into ``parts`` equal blocks of consecutive rows, one per worker; a
 centralized run has one block.  Everything reads a problem through one
 oracle: ``at`` evaluates what every row shares at a point, once per point,
 and ``grads`` and ``values`` read row gradients and block objectives off
-that evaluation.  ``split`` gives the same rows in another number of blocks.
+that evaluation, ``grads_values`` both at once (logistic rows: one softmax,
+its class-axis max and, below 8 classes, its sum taken over class slices in
+the bit order of numpy's axis reductions).  ``split`` regroups the rows.
 """
 
 from __future__ import annotations
 
 import copy
 import csv
+import functools
 
 import numpy as np
 
@@ -47,8 +50,12 @@ class FiniteSumProblem:
 
     def values(self, point) -> Array:
         """Each block's objective at an evaluated point: shape (parts,), or
-        (K, parts) at a stack of K points."""
-        raise NotImplementedError
+        (K, parts) at a stack of K points.  A family defines this or grads_values."""
+        return self.grads_values(point)[1]
+
+    def grads_values(self, point):
+        """Each block's full gradient and objective, ``(grads(point), values(point))``."""
+        return self.grads(point), self.values(point)
 
     def split(self, parts: int = 1) -> "FiniteSumProblem":
         """The same rows in ``parts`` equal blocks."""
@@ -219,10 +226,6 @@ class LogisticProblem(FiniteSumProblem):
         self.d = self.n_features * C
         self._cut(1)
 
-    def _cut(self, parts: int) -> None:
-        super()._cut(parts)
-        self.blocks = [np.arange(m * self.n0, (m + 1) * self.n0) for m in range(parts)]
-
     def at(self, x: Array) -> Array:
         """The weight matrix, or a stack of them."""
         self._check_point(x)
@@ -230,42 +233,66 @@ class LogisticProblem(FiniteSumProblem):
 
     def grads(self, W: Array, rows: Array | None = None) -> Array:
         if rows is None:
-            parts = [self._mean_grad(block, W) for block in self.blocks]
-        elif rows.ndim == 1:
-            parts = [self._row_grad(i, W) for i in rows]
-        else:
-            parts = [self._mean_grad(batch, W) for batch in rows]
-        return np.stack(parts, axis=-2)
+            return self.grads_values(W)[0]
+        if rows.ndim == 1:
+            return np.stack([self._row_grad(i, W) for i in rows], axis=-2)
+        return self._fit(rows, W)[0]
 
-    def values(self, W: Array) -> Array:
-        return np.stack([self._mean_loss(block, W) for block in self.blocks], axis=-1)
+    def grads_values(self, W: Array):
+        grads, Z, S, hit = self._fit(np.arange(self.n).reshape(self.parts, self.n0), W)
+        return grads, (np.log(S) - Z[hit]).mean(axis=-1)
 
-    # Single rows use the 1-D product features[i] @ W and batches the matrix
-    # product; the two round differently, so each path keeps its own form.
-    # A stack of weight matrices multiplies each matrix as a lone one would.
     def _row_grad(self, i, W: Array) -> Array:
-        """Row i's gradient at W, or at each matrix of a stack: shape (..., d)."""
-        z = self.features[i] @ W
-        z = z - z.max(axis=-1, keepdims=True)
-        p = np.exp(z)
-        p /= p.sum(axis=-1, keepdims=True)
+        """Row i's gradient at W, or at each matrix of a stack: shape (..., d).  Its 1-D
+        product features[i] @ W rounds apart from the matrix product of batches."""
+        _, p, _ = self._softmax(self.features[i] @ W)
         p[..., self.labels[i]] -= 1.0
         return (self.features[i][:, None] * p[..., None, :]).reshape(W.shape[:-2] + (self.d,))
 
-    def _mean_grad(self, rows: Array, W: Array) -> Array:
-        X = self.features[rows]
-        Z = X @ W
-        Z = Z - Z.max(axis=-1, keepdims=True)
-        P = np.exp(Z)
-        P /= P.sum(axis=-1, keepdims=True)
-        P[..., np.arange(rows.size), self.labels[rows]] -= 1.0
-        return (X.T @ P).reshape(W.shape[:-2] + (self.d,)) / rows.size
+    def _fit(self, rows: Array, W: Array):
+        """Mean gradient of each (blocks, rows) block of rows; logits, class sums, label index."""
+        X, y = self.features[rows], self.labels[rows]
+        Z, P, S = self._softmax(X @ W[..., None, :, :])
+        hit = (..., np.arange(len(y))[:, None], np.arange(y.shape[1]), y)
+        P[hit] -= 1.0
+        grads = (X.swapaxes(-1, -2) @ P).reshape(W.shape[:-2] + (len(y), self.d))
+        return grads / y.shape[1], Z, S, hit
 
-    def _mean_loss(self, rows: Array, W: Array):
-        Z = self.features[rows] @ W
-        Z = Z - Z.max(axis=-1, keepdims=True)
-        lse = np.log(np.exp(Z).sum(axis=-1))
-        return (lse - Z[..., np.arange(rows.size), self.labels[rows]]).mean(axis=-1)
+    def _softmax(self, Z: Array):
+        """Shifted logits, class probabilities and class sums, reduced by the module's rule."""
+        C = self.num_classes
+        Z = Z - functools.reduce(np.maximum, [Z[..., c] for c in range(C)])[..., None]
+        P = np.exp(Z)
+        S = functools.reduce(np.add, [P[..., c] for c in range(C)]) if C < 8 else P.sum(axis=-1)
+        P /= S[..., None]
+        return Z, P, S
+
+
+def make_logistic(n: int, features: int, classes: int, seed: int) -> LogisticProblem:
+    """Draw class-conditional Gaussian samples from a dedicated stream.
+
+    Labels are uniform over the classes, each class has a centre drawn from
+    N(0, I), and a row is its class centre plus N(0, I) noise, all drawn
+    from the ``PROBLEM`` stream of ``seed`` in that order.
+
+    Args:
+        n: number of rows, at least 1.
+        features: number of features, at least 1.
+        classes: number of classes, at least 2, whether or not every class
+            is drawn.
+        seed: master seed.
+    """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if features < 1:
+        raise ValueError(f"features must be at least 1, got {features}")
+    if classes < 2:
+        raise ValueError(f"classes must be at least 2, got {classes}")
+    rng = streams.derive(seed, streams.PROBLEM)
+    labels = rng.integers(0, classes, n)
+    centres = rng.normal(0.0, 1.0, (classes, features))
+    X = centres[labels] + rng.normal(0.0, 1.0, (n, features))
+    return LogisticProblem(X, labels, classes)
 
 
 def load_logistic_csv(path, has_header: bool = False) -> LogisticProblem:

@@ -11,7 +11,9 @@ from signshuffle import (
     estimate_coordinate_smoothness,
     finite_diff_check,
     load_logistic_csv,
+    make_logistic,
     make_rosenbrock,
+    streams,
 )
 
 
@@ -259,6 +261,97 @@ class TestLogisticProblem:
             LogisticProblem(np.array([[np.inf, 0.0]]), np.array([0]))
         with pytest.raises(ValueError):
             tiny_logistic().at(np.zeros(5))
+
+
+class TestMakeLogistic:
+    def test_deterministic_per_seed(self):
+        a, b = make_logistic(30, 4, 3, seed=7), make_logistic(30, 4, 3, seed=7)
+        np.testing.assert_array_equal(a.features, b.features)
+        np.testing.assert_array_equal(a.labels, b.labels)
+        c = make_logistic(30, 4, 3, seed=8)
+        assert not np.array_equal(a.features, c.features)
+
+    def test_shapes_and_labels(self):
+        p = make_logistic(40, 5, 4, seed=2)
+        assert (p.n, p.n_features, p.num_classes, p.d) == (40, 5, 4, 20)
+        assert p.features.shape == (40, 5) and p.labels.shape == (40,)
+        assert set(p.labels.tolist()) <= set(range(4))
+        # The class count is the one asked for, even when a class is never drawn.
+        assert make_logistic(1, 2, 6, seed=0).num_classes == 6
+
+    def test_rows_are_class_centres_plus_noise(self):
+        rng = streams.derive(3, streams.PROBLEM)
+        labels = rng.integers(0, 3, 25)
+        centres = rng.normal(0.0, 1.0, (3, 4))
+        X = centres[labels] + rng.normal(0.0, 1.0, (25, 4))
+        p = make_logistic(25, 4, 3, seed=3)
+        np.testing.assert_array_equal(p.features, X)
+        np.testing.assert_array_equal(p.labels, labels)
+
+    def test_validation(self):
+        for args in ((0, 4, 3), (5, 0, 3), (5, 4, 1)):
+            with pytest.raises(ValueError):
+                make_logistic(*args, seed=0)
+
+
+# The logistic oracle in the form it had with one block at a time and
+# numpy's class-axis reductions: the references of the class-count rule.
+def _axis_row_grad(p, i, W):
+    z = p.features[i] @ W
+    z = z - z.max(axis=-1, keepdims=True)
+    q = np.exp(z)
+    q /= q.sum(axis=-1, keepdims=True)
+    q[..., p.labels[i]] -= 1.0
+    return (p.features[i][:, None] * q[..., None, :]).reshape(W.shape[:-2] + (p.d,))
+
+
+def _axis_mean_grad(p, rows, W):
+    X = p.features[rows]
+    Z = X @ W
+    Z = Z - Z.max(axis=-1, keepdims=True)
+    P = np.exp(Z)
+    P /= P.sum(axis=-1, keepdims=True)
+    P[..., np.arange(rows.size), p.labels[rows]] -= 1.0
+    return (X.T @ P).reshape(W.shape[:-2] + (p.d,)) / rows.size
+
+
+def _axis_mean_loss(p, rows, W):
+    Z = p.features[rows] @ W
+    Z = Z - Z.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(Z).sum(axis=-1))
+    return (lse - Z[..., np.arange(rows.size), p.labels[rows]]).mean(axis=-1)
+
+
+class TestClassCountRule:
+    """Below 8 classes the softmax reduces over class slices, from 8 on over
+    the class axis; either way every result keeps the bits of the axis form."""
+
+    @pytest.mark.parametrize("classes", [2, 3, 5, 7, 8, 10])
+    @pytest.mark.parametrize("parts", [1, 3])
+    def test_oracle_matches_axis_form_bit_for_bit(self, classes, parts):
+        whole = make_logistic(48, 5, classes, seed=classes)
+        p = whole.split(parts)
+        rng = np.random.default_rng(parts)
+        blocks = [np.arange(m * p.n0, (m + 1) * p.n0) for m in range(parts)]
+        singles = rng.integers(0, p.n0, parts) + p.n0 * np.arange(parts)
+        batches = rng.integers(0, p.n0, (parts, 3)) + p.n0 * np.arange(parts)[:, None]
+        for x in (rng.normal(0.0, 2.0, p.d), rng.normal(0.0, 2.0, (4, p.d))):
+            point = p.at(x)
+
+            def stacked(reference, entries):
+                return np.stack([reference(p, e, point) for e in entries], axis=-2)
+
+            block_grads = stacked(_axis_mean_grad, blocks)
+            block_values = np.stack([_axis_mean_loss(p, b, point) for b in blocks], axis=-1)
+            grads, values = p.grads_values(point)
+            for got, want in [(p.grads(point, singles), stacked(_axis_row_grad, singles)),
+                              (p.grads(point, np.arange(p.n)),
+                               stacked(_axis_row_grad, range(p.n))),
+                              (p.grads(point, batches), stacked(_axis_mean_grad, batches)),
+                              (p.grads(point), block_grads), (grads, block_grads),
+                              (p.values(point), block_values), (values, block_values)]:
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
 
 
 class TestFiniteDiffCheck:
